@@ -29,18 +29,22 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from datetime import datetime
+from typing import NamedTuple
 
 
 def diversity_draw(seed: int, satellite_id: str, station_id: str,
                    when: datetime) -> float:
     """Deterministic uniform in [0, 1) for one station's decode attempt."""
-    key = f"{seed}:{satellite_id}:{station_id}:{when.isoformat()}"
+    return _draw(f"{seed}:{satellite_id}:{station_id}:{when.isoformat()}")
+
+
+def _draw(key: str) -> float:
+    """The uniform for one fully-built draw key (see :func:`diversity_draw`)."""
     digest = hashlib.sha256(key.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") / float(1 << 64)
 
 
-@dataclass(frozen=True)
-class CopyOutcome:
+class CopyOutcome(NamedTuple):
     """One station's attempt at decoding the shared downlink stream."""
 
     station_index: int
@@ -100,23 +104,27 @@ class DiversityCombiner:
         first).  Draws are keyed per station so adding or removing a
         secondary never perturbs any other station's outcome.
         """
+        # Every key shares the "seed:satellite:" prefix and ":timestamp"
+        # suffix, so each is built once per call, not once per copy.
+        prefix = f"{self.seed}:{satellite_id}:"
+        suffix = f":{when.isoformat()}"
+        stations = self._stations
         copies = []
+        decoded_count = 0
         for station_index, station_id, is_primary, probability in attempts:
-            draw = diversity_draw(self.seed, satellite_id, station_id, when)
-            decoded = draw < probability
+            decoded = _draw(f"{prefix}{station_id}{suffix}") < probability
             copies.append(CopyOutcome(
-                station_index=station_index,
-                station_id=station_id,
-                is_primary=is_primary,
-                decode_probability=probability,
-                decoded=decoded,
+                station_index, station_id, is_primary, probability, decoded
             ))
-            stats = self._stations.setdefault(
-                station_id, {"copies": 0, "decoded": 0, "primary": 0}
-            )
+            stats = stations.get(station_id)
+            if stats is None:
+                stats = stations[station_id] = {
+                    "copies": 0, "decoded": 0, "primary": 0
+                }
             stats["copies"] += 1
             if decoded:
                 stats["decoded"] += 1
+                decoded_count += 1
             if is_primary:
                 stats["primary"] += 1
 
@@ -125,7 +133,7 @@ class DiversityCombiner:
         )
         self.passes += 1
         self.copies_attempted += len(copies)
-        self.copies_decoded += sum(1 for c in copies if c.decoded)
+        self.copies_decoded += decoded_count
         if reception.decoded:
             self.combined_decoded += 1
             if reception.rescued:

@@ -593,6 +593,25 @@ class PairGroupCache:
         #: One representative (value-identical) budget per class id.
         self.budget_of: dict[int, LinkBudget] = {}
 
+    def resolve(self, satellites: list[Satellite],
+                link_budget_for: Callable[[Satellite, int], LinkBudget],
+                sat_idx: np.ndarray, gs_idx: np.ndarray) -> np.ndarray:
+        """Hardware-class ids of the pairs ``(sat_idx[p], gs_idx[p])``,
+        filling any not yet seen through ``link_budget_for``."""
+        gids = self.gid[sat_idx, gs_idx]
+        unresolved = np.nonzero(gids < 0)[0]
+        if unresolved.size:
+            sat_list = sat_idx.tolist()
+            gs_list = gs_idx.tolist()
+            for p in unresolved.tolist():
+                i, j = sat_list[p], gs_list[p]
+                budget = link_budget_for(satellites[i], j)
+                gid = _budget_group_id(budget)
+                self.gid[i, j] = gid
+                self.budget_of.setdefault(gid, budget)
+                gids[p] = gid
+        return gids
+
 
 def _batched_edges(
     satellites: list[Satellite],
@@ -893,18 +912,9 @@ def _price_pairs(
     if pair_static is not None:
         station_lat, station_alt, gids = pair_static
     else:
-        gids = pair_groups.gid[sat_idx, gs_idx]
-        unresolved = np.nonzero(gids < 0)[0]
-        if unresolved.size:
-            sat_list = sat_idx.tolist()
-            gs_list = gs_idx.tolist()
-            for p in unresolved.tolist():
-                i, j = sat_list[p], gs_list[p]
-                budget = link_budget_for(satellites[i], j)
-                gid = _budget_group_id(budget)
-                pair_groups.gid[i, j] = gid
-                pair_groups.budget_of.setdefault(gid, budget)
-                gids[p] = gid
+        gids = pair_groups.resolve(
+            satellites, link_budget_for, sat_idx, gs_idx
+        )
         station_lat = geometry._station_lat_deg[gs_idx]
         station_alt = geometry._station_alt_km[gs_idx]
 

@@ -337,7 +337,7 @@ def diversity_groups(
     graph: ContactGraph,
     assignments: list[Assignment],
     max_receivers: int,
-) -> dict[int, list[ContactEdge]]:
+) -> dict[int, list[int]]:
     """Pick extra listening stations per matched satellite (diversity).
 
     For each assignment, stations that (a) can also see the satellite --
@@ -346,26 +346,45 @@ def diversity_groups(
     satellite's secondary, are recruited as additional receivers, best
     candidate edge first (descending weight, ascending station index for
     determinism).  Each satellite gets at most ``max_receivers - 1``
-    secondaries.
+    secondaries; assignments claim stations in list order.
 
+    Returns, per matched satellite, the chosen edges as positions into
+    ``graph.columns()``.  Works on the column arrays: one fleet-wide
+    lexsort over ``(satellite, -weight, station)`` and a ``searchsorted``
+    slice per matched satellite, so no per-edge objects are built.
     Purely a function of the graph's edges and the matching, so the
-    selection is deterministic and identical whether the graph was built
-    by the scalar or the batched path (those are bit-identical by the
-    PR-1 equivalence contract).
+    selection is deterministic and identical whichever path built the
+    graph.
     """
     if max_receivers < 1:
         raise ValueError("max_receivers must be >= 1")
+    groups: dict[int, list[int]] = {
+        a.satellite_index: [] for a in assignments
+    }
+    want = max_receivers - 1
+    if want == 0 or not assignments:
+        return groups
+    cols = graph.columns()
+    order = np.lexsort(
+        (cols.station_index, -cols.weight, cols.satellite_index)
+    )
+    sat_sorted = cols.satellite_index[order]
+    matched = np.fromiter(
+        (a.satellite_index for a in assignments), np.intp, len(assignments)
+    )
+    lo = np.searchsorted(sat_sorted, matched, side="left").tolist()
+    hi = np.searchsorted(sat_sorted, matched, side="right").tolist()
+    order_l = order.tolist()
+    gs_sorted = cols.station_index[order].tolist()
     taken = {a.station_index for a in assignments}
-    groups: dict[int, list[ContactEdge]] = {}
-    for a in assignments:
-        candidates = [
-            e for e in graph.edges_for_satellite(a.satellite_index)
-            if e.station_index != a.station_index
-            and e.station_index not in taken
-        ]
-        candidates.sort(key=lambda e: (-e.weight, e.station_index))
-        chosen = candidates[: max_receivers - 1]
-        for e in chosen:
-            taken.add(e.station_index)
-        groups[a.satellite_index] = chosen
+    for a, start, stop in zip(assignments, lo, hi):
+        chosen = groups[a.satellite_index]
+        for k in range(start, stop):
+            station = gs_sorted[k]
+            if station in taken:
+                continue
+            taken.add(station)
+            chosen.append(order_l[k])
+            if len(chosen) == want:
+                break
     return groups

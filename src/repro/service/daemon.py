@@ -10,7 +10,7 @@ Endpoints (all JSON):
 ====== ===================== ==========================================
 Method Path                  Meaning
 ====== ===================== ==========================================
-GET    ``/healthz``          liveness + session position
+GET    ``/healthz``          ticker status + session position
 GET    ``/plan``             the currently executing links
 GET    ``/plan/deltas``      plan changes with ``seq > since`` (query)
 GET    ``/metrics``          session snapshot + interim tenant block
@@ -20,15 +20,21 @@ POST   ``/outages``          submit an :class:`OutageNotice`
 POST   ``/shutdown``         finalize and return the full report
 ====== ===================== ==========================================
 
-Validation errors map to 400 with ``{"error": ...}``; unknown paths to
-404; events after finalization to 409.
+Input is checked where it enters: a body of the wrong JSON shape, a
+non-finite number or an unparsable timestamp maps to 400 with
+``{"error": ...}`` (offset-qualified timestamps are converted to the
+naive UTC the engine runs on); unknown paths to 404; events after
+finalization to 409.  Replies are strict JSON.  ``/healthz`` reports
+``"status": "ok"`` while the ticker is healthy and ``"degraded"`` with
+an ``"error"`` string once a tick has raised (ticking then stops).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import threading
-from datetime import datetime
+from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
@@ -41,7 +47,34 @@ from repro.simulation.session import (
 )
 
 
-def _submit_requests_from(payload: dict) -> list[SubmitRequest]:
+def _number(value, name: str) -> float:
+    """``float(value)``, or ValueError naming the field: non-numbers and
+    non-finite values (NaN, inf) are rejected at the boundary."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name!r} must be a number, got {value!r}")
+    if not math.isfinite(number):
+        raise ValueError(f"{name!r} must be finite, got {value!r}")
+    return number
+
+
+def _timestamp(value, name: str) -> datetime:
+    """An ISO-8601 instant as the naive UTC datetime the engine runs on.
+
+    An offset-qualified timestamp (``...Z``, ``...+02:00``) is converted
+    to UTC and its zone dropped; a bare one is taken as UTC already.
+    """
+    try:
+        when = datetime.fromisoformat(str(value).replace("Z", "+00:00"))
+    except ValueError:
+        raise ValueError(f"{name!r} is not an ISO-8601 timestamp: {value!r}")
+    if when.tzinfo is not None:
+        when = when.astimezone(timezone.utc).replace(tzinfo=None)
+    return when
+
+
+def _submit_requests_from(payload) -> list[SubmitRequest]:
     """Parse ``{"requests": [...]}`` (or one bare request object)."""
     raw = payload.get("requests", [payload]) if isinstance(payload, dict) \
         else payload
@@ -58,18 +91,21 @@ def _submit_requests_from(payload: dict) -> list[SubmitRequest]:
         if unknown:
             raise ValueError(f"unknown request fields: {sorted(unknown)}")
         try:
+            chunks = _number(item.get("chunks", 1), "chunks")
+            if chunks != int(chunks):
+                raise ValueError(f"'chunks' must be an integer, got {chunks!r}")
             events.append(SubmitRequest(
                 request_id=str(item["request_id"]),
                 tenant_id=str(item["tenant_id"]),
                 satellite_id=str(item["satellite_id"]),
-                chunks=int(item.get("chunks", 1)),
+                chunks=int(chunks),
                 priority=(
                     None if item.get("priority") is None
-                    else float(item["priority"])
+                    else _number(item["priority"], "priority")
                 ),
                 sla_deadline_s=(
                     None if item.get("sla_deadline_s") is None
-                    else float(item["sla_deadline_s"])
+                    else _number(item["sla_deadline_s"], "sla_deadline_s")
                 ),
                 region=str(item.get("region", "")),
             ))
@@ -82,6 +118,9 @@ class _Handler(BaseHTTPRequestHandler):
     """Routes HTTP verbs to the owning :class:`SchedulerService`."""
 
     protocol_version = "HTTP/1.1"
+    #: Replies go out as soon as they are written: with Nagle on, a
+    #: keep-alive client's next reply would wait for its delayed ACK.
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> "SchedulerService":
@@ -91,20 +130,37 @@ class _Handler(BaseHTTPRequestHandler):
         pass  # the daemon's own logging is the trace/report, not stderr
 
     def _reply(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        """Send one JSON reply as a single write: status line, headers
+        and body together, so no segment waits on the client's ACK."""
+        body = json.dumps(payload, sort_keys=True, allow_nan=False)
+        body_bytes = body.encode("utf-8")
+        head = (
+            f"{self.protocol_version} {status} "
+            f"{self.responses[status][0]}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {self.date_time_string()}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body_bytes)}\r\n\r\n"
+        )
+        self.wfile.write(head.encode("latin-1") + body_bytes)
 
-    def _read_json(self) -> dict:
+    def _read_json(self):
         length = int(self.headers.get("Content-Length", 0))
         raw = self.rfile.read(length) if length else b"{}"
         try:
             return json.loads(raw or b"{}")
         except json.JSONDecodeError as exc:
             raise ValueError(f"request body is not valid JSON: {exc}")
+
+    def _read_object(self) -> dict:
+        """The request body as a JSON object (400 for any other shape)."""
+        payload = self._read_json()
+        if not isinstance(payload, dict):
+            raise ValueError(
+                "request body must be a JSON object, got "
+                f"{type(payload).__name__}"
+            )
+        return payload
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
         parsed = urlparse(self.path)
@@ -132,24 +188,30 @@ class _Handler(BaseHTTPRequestHandler):
                 acks = self.service.submit(_submit_requests_from(payload))
                 self._reply(200, {"acks": acks})
             elif parsed.path == "/quota":
-                payload = self._read_json()
+                payload = self._read_object()
                 acks = self.service.submit([QuotaUpdate(
                     tenant_id=str(payload["tenant_id"]),
-                    quota_gb_per_day=float(payload["quota_gb_per_day"]),
+                    quota_gb_per_day=_number(
+                        payload["quota_gb_per_day"], "quota_gb_per_day"
+                    ),
                 )])
                 self._reply(200, {"acks": acks})
             elif parsed.path == "/outages":
-                payload = self._read_json()
+                payload = self._read_object()
                 acks = self.service.submit([OutageNotice(
                     station_id=str(payload["station_id"]),
-                    start=datetime.fromisoformat(str(payload["start"])),
-                    end=datetime.fromisoformat(str(payload["end"])),
+                    start=_timestamp(payload["start"], "start"),
+                    end=_timestamp(payload["end"], "end"),
                 )])
                 self._reply(200, {"acks": acks})
             elif parsed.path == "/shutdown":
                 report = self.service.finalize()
-                self._reply(200, {"report": report.to_dict()})
-                self.service.request_stop()
+                try:
+                    self._reply(200, {"report": report.to_dict()})
+                finally:
+                    # The session is finalized: stop even if the report
+                    # could not be sent.
+                    self.service.request_stop()
             else:
                 self._reply(404, {"error": f"no such path {parsed.path!r}"})
         except KeyError as missing:
@@ -183,6 +245,9 @@ class SchedulerService:
         self._server.daemon_threads = True
         self._server.service = self
         self._ticker: threading.Thread | None = None
+        #: Why the ticker stopped early (``"Type: message"``), or None
+        #: while it is healthy; surfaced by :meth:`health`.
+        self.ticker_error: str | None = None
 
     @property
     def address(self) -> tuple[str, int]:
@@ -200,13 +265,17 @@ class SchedulerService:
     def health(self) -> dict:
         with self._lock:
             snap = self.session.snapshot()
-        return {
-            "status": "ok",
+            error = self.ticker_error
+        health = {
+            "status": "ok" if error is None else "degraded",
             "step": snap["step"],
             "horizon_steps": snap["horizon_steps"],
             "now": snap["now"],
             "finished": snap["finished"],
         }
+        if error is not None:
+            health["error"] = error
+        return health
 
     def current_plan(self) -> dict:
         with self._lock:
@@ -251,7 +320,13 @@ class SchedulerService:
             with self._lock:
                 if self.session.step >= self.session.horizon_steps:
                     break
-                self.session.advance(steps=1)
+                try:
+                    self.session.advance(steps=1)
+                except Exception as exc:
+                    # Stop ticking, but keep serving: /healthz reports the
+                    # daemon as degraded instead of a silent dead thread.
+                    self.ticker_error = f"{type(exc).__name__}: {exc}"
+                    break
             if self.pace_s > 0.0:
                 self._stop.wait(self.pace_s)
 

@@ -20,13 +20,14 @@ per experiment variant (``repro.core`` scenario helpers do this).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from datetime import datetime, timedelta
 
 import numpy as np
 
 from repro.faults import FaultCounters, FaultSchedule
 from repro.groundstations.network import GroundStationNetwork
-from repro.linkbudget.decode import decode_probability
+from repro.linkbudget.decode import decode_probability_batch
 from repro.network.backend import BackendCollator
 from repro.network.diversity import DiversityCombiner
 from repro.network.messages import ChunkReceiptMessage
@@ -432,17 +433,7 @@ class Simulation:
                     keep_graph=True,
                 )
             with rec.span("execute"):
-                from repro.scheduling.matching import diversity_groups
-
-                groups = diversity_groups(
-                    step.graph, step.assignments, cfg.diversity_receivers
-                )
-                for assignment in step.assignments:
-                    self._execute_diversity(
-                        assignment,
-                        groups.get(assignment.satellite_index, []),
-                        now,
-                    )
+                self._execute_diversity_tick(step, now)
             executed = {
                 a.satellite_index: a.station_index
                 for a in step.assignments
@@ -457,8 +448,11 @@ class Simulation:
                     ),
                 )
             with rec.span("execute"):
+                truth_decodes = self._decodes_under_truth(
+                    step.assignments, now
+                )
                 for assignment in step.assignments:
-                    self._execute_assignment(assignment, now)
+                    self._execute_assignment(assignment, now, truth_decodes)
             executed = {
                 a.satellite_index: a.station_index
                 for a in step.assignments
@@ -594,7 +588,13 @@ class Simulation:
                     self.demand.accountant.record_generation(chunk)
         self._gen_acc = total
 
-    def _execute_assignment(self, assignment, now: datetime) -> None:
+    def _execute_assignment(self, assignment, now: datetime,
+                            truth_decodes: dict | None) -> None:
+        """Transmit one matched link for one step.
+
+        ``truth_decodes`` is the tick's :meth:`_decodes_under_truth`
+        (None unless forecast mode planned the link).
+        """
         sat = self.satellites[assignment.satellite_index]
         station = self.network[assignment.station_index]
         rec = self.obs
@@ -658,8 +658,10 @@ class Simulation:
                 usable_fraction = 1.0 - (
                     self.config.acquisition_overhead_s / self.config.step_s
                 )
-        if self.config.use_forecast:
-            decoded = self._decodes_under_truth(assignment, sat, station, now)
+        if truth_decodes is not None:
+            decoded = truth_decodes[
+                assignment.satellite_index, assignment.station_index
+            ]
         if self.faults is not None and decoded:
             if self.faults.is_undecoded(station.station_id, now):
                 # Ground-side decode fault: the pass happens, nothing lands.
@@ -781,57 +783,148 @@ class Simulation:
 
     # -- diversity reception (Sec. 3.3's hybrid-GS combining) ---------------
 
-    def _copy_decode_probability(self, sat: Satellite, station_index: int,
-                                 elevation_deg: float, range_km: float,
-                                 required_esn0_db: float,
-                                 now: datetime) -> float:
-        """One listening station's chance of decoding the shared stream.
+    def _truth_esn0(self, sat_idx: Sequence[int], gs_idx: Sequence[int],
+                    elevation_deg: Sequence[float],
+                    range_km: Sequence[float], now: datetime) -> np.ndarray:
+        """Es/N0 of each (satellite, station) reception under *true* weather.
 
-        The station's *true*-weather Es/N0 (its own geometry, its own
-        storm) is measured against the MODCOD threshold the transmitter
-        committed to, through the soft Gaussian-margin model.  Injected
-        faults apply the single-penalty rule: a hard outage (or dark
-        station, or decode fault) zeroes the copy, a partial outage
-        scales the copy's probability -- never the group's bits budget,
-        which belongs to the transmitter, not any one receiver.
+        Every execution-time decode question -- a diversity copy's
+        probability, a forecast-planned MODCOD's survival -- is priced
+        here: truth weather is sampled per reception, in the given order
+        (so the quantized cache sees the same first sample per bucket),
+        and the link budget runs once per hardware class.  Class ids come
+        from the scheduler's :class:`PairGroupCache`, so the budgets are
+        the ones the graph priced the same pairs with.
         """
-        station = self.network[station_index]
-        if self.outages is not None and self.outages.is_down(
-            station.station_id, now
-        ):
-            return 0.0
-        availability = 1.0
-        if self.faults is not None:
-            availability = self.faults.station_availability(
-                station.station_id, now
+        network = self.network
+        truth = self.truth_weather
+        count = len(gs_idx)
+        rain = np.empty(count)
+        cloud = np.empty(count)
+        for p, j in enumerate(gs_idx):
+            station = network[j]
+            sample = truth.sample(
+                station.latitude_deg, station.longitude_deg, now
             )
-            if availability <= 0.0:
-                return 0.0
-            if self.faults.is_undecoded(station.station_id, now):
-                return 0.0
-        truth = self.truth_weather.sample(
-            station.latitude_deg, station.longitude_deg, now
+            rain[p] = sample.rain_rate_mm_h
+            cloud[p] = sample.cloud_water_kg_m2
+        sats = np.asarray(sat_idx, dtype=np.intp)
+        stations = np.asarray(gs_idx, dtype=np.intp)
+        elevation = np.asarray(elevation_deg, dtype=float)
+        range_arr = np.asarray(range_km, dtype=float)
+        scheduler = self.scheduler
+        pair_groups = scheduler._pair_groups
+        gids = pair_groups.resolve(
+            self.satellites, scheduler._link_budget_for, sats, stations
         )
-        budget = self.scheduler._link_budget_for(sat, station_index)
-        result = budget.evaluate(
-            range_km=range_km,
-            elevation_deg=elevation_deg,
-            station_latitude_deg=station.latitude_deg,
-            rain_rate_mm_h=truth.rain_rate_mm_h,
-            cloud_water_kg_m2=truth.cloud_water_kg_m2,
-            station_altitude_km=station.altitude_km,
-        )
-        probability = decode_probability(result.esn0_db, required_esn0_db)
-        return probability * availability
+        geometry = scheduler._geometry
+        station_lat = geometry._station_lat_deg[stations]
+        station_alt = geometry._station_alt_km[stations]
+        esn0 = np.empty(count)
+        for gid in np.unique(gids).tolist():
+            pos = np.flatnonzero(gids == gid)
+            esn0[pos] = pair_groups.budget_of[gid].evaluate_batch(
+                range_km=range_arr[pos],
+                elevation_deg=elevation[pos],
+                station_latitude_deg=station_lat[pos],
+                rain_rate_mm_h=rain[pos],
+                cloud_water_kg_m2=cloud[pos],
+                station_altitude_km=station_alt[pos],
+            ).esn0_db
+        return esn0
 
-    def _execute_diversity(self, assignment, secondaries,
+    def _copy_decode_probabilities(self, copies, now: datetime) -> list[float]:
+        """Each listening station's chance of decoding its shared stream.
+
+        ``copies`` are ``(satellite_index, station_index, elevation_deg,
+        range_km, required_esn0_db)`` rows; all are priced in one
+        :meth:`_truth_esn0` pass.  The station's *true*-weather Es/N0 (its
+        own geometry, its own storm) is measured against the MODCOD
+        threshold the transmitter committed to, through the soft
+        Gaussian-margin model.  Injected faults apply the single-penalty
+        rule: a hard outage (or dark station, or decode fault) zeroes the
+        copy without sampling its weather, a partial outage scales the
+        copy's probability -- never the group's bits budget, which
+        belongs to the transmitter, not any one receiver.
+        """
+        outages = self.outages
+        faults = self.faults
+        availability = []
+        live = []
+        for _sat, j, _elev, _rng, _required in copies:
+            station_id = self.network[j].station_id
+            factor = 1.0
+            if outages is not None and outages.is_down(station_id, now):
+                factor = 0.0
+            elif faults is not None:
+                factor = faults.station_availability(station_id, now)
+                if factor > 0.0 and faults.is_undecoded(station_id, now):
+                    factor = 0.0
+            availability.append(factor)
+            if factor > 0.0:
+                live.append(len(availability) - 1)
+        probability = [0.0] * len(copies)
+        if live:
+            rows = [copies[k] for k in live]
+            sat_idx, gs_idx, elevation, range_km, required = zip(*rows)
+            esn0 = self._truth_esn0(sat_idx, gs_idx, elevation, range_km, now)
+            priced = decode_probability_batch(esn0, required).tolist()
+            for k, p in zip(live, priced):
+                probability[k] = p * availability[k]
+        return probability
+
+    def _execute_diversity_tick(self, step, now: datetime) -> None:
+        """Execute one diversity-mode tick: recruit, price, then transmit.
+
+        Every copy of the tick -- each transmitting assignment's primary
+        and its recruited secondaries -- is priced in one
+        :meth:`_copy_decode_probabilities` call before any assignment
+        executes.  A power-blocked satellite transmits nothing, so its
+        copies are not priced.
+        """
+        from repro.scheduling.matching import diversity_groups
+
+        groups = diversity_groups(
+            step.graph, step.assignments, self.config.diversity_receivers
+        )
+        cols = step.graph.columns()
+        plans = []
+        copies = []
+        for assignment in step.assignments:
+            sat = self.satellites[assignment.satellite_index]
+            if sat.power is not None and not sat.power.can_transmit():
+                self.power_blocked_steps += 1
+                continue
+            i = assignment.satellite_index
+            required = assignment.required_esn0_db
+            receivers = [assignment.station_index]
+            copies.append((i, assignment.station_index,
+                           assignment.elevation_deg, assignment.range_km,
+                           required))
+            for pos in groups[i]:
+                j = int(cols.station_index[pos])
+                receivers.append(j)
+                copies.append((i, j, float(cols.elevation_deg[pos]),
+                               float(cols.range_km[pos]), required))
+            plans.append((assignment, sat, receivers))
+        probability = iter(self._copy_decode_probabilities(copies, now))
+        for assignment, sat, receivers in plans:
+            attempts = [
+                (j, self.network[j].station_id, k == 0, next(probability))
+                for k, j in enumerate(receivers)
+            ]
+            self._execute_diversity(assignment, sat, attempts, now)
+
+    def _execute_diversity(self, assignment, sat: Satellite, attempts,
                            now: datetime) -> None:
         """Execute one pass step with extra listening stations.
 
         The satellite transmits exactly once, at the primary assignment's
         committed bitrate/MODCOD; every receiver (primary + recruited
         secondaries) independently attempts to decode that one stream and
-        the :class:`DiversityCombiner` ORs the copies.  Each successful
+        the :class:`DiversityCombiner` ORs the copies.  ``attempts`` are
+        the priced ``(station_index, station_id, is_primary,
+        decode_probability)`` copies, primary first.  Each successful
         station posts its own receipt through the normal backhaul path --
         the backend collator's duplicate handling collapses the extras,
         and delivered bits/latency are credited once via the
@@ -839,11 +932,7 @@ class Simulation:
         """
         cfg = self.config
         rec = self.obs
-        sat = self.satellites[assignment.satellite_index]
         primary = self.network[assignment.station_index]
-        if sat.power is not None and not sat.power.can_transmit():
-            self.power_blocked_steps += 1
-            return
         self._transmitted_this_step.add(assignment.satellite_index)
         usable_fraction = 1.0
         if cfg.acquisition_overhead_s > 0.0:
@@ -852,25 +941,6 @@ class Simulation:
                 usable_fraction = 1.0 - (
                     cfg.acquisition_overhead_s / cfg.step_s
                 )
-        attempts = [(
-            assignment.station_index,
-            primary.station_id,
-            True,
-            self._copy_decode_probability(
-                sat, assignment.station_index, assignment.elevation_deg,
-                assignment.range_km, assignment.required_esn0_db, now,
-            ),
-        )]
-        for edge in secondaries:
-            attempts.append((
-                edge.station_index,
-                self.network[edge.station_index].station_id,
-                False,
-                self._copy_decode_probability(
-                    sat, edge.station_index, edge.elevation_deg,
-                    edge.range_km, assignment.required_esn0_db, now,
-                ),
-            ))
         reception = self.diversity.combine(sat.satellite_id, now, attempts)
         decoded = reception.decoded
         if decoded and self.faults is not None and self.faults.is_tle_stale(
@@ -959,22 +1029,44 @@ class Simulation:
         if primary.can_transmit:
             self._tx_contact(sat, now, primary.station_id)
 
-    def _decodes_under_truth(self, assignment, sat: Satellite,
-                             station, now: datetime) -> bool:
-        """Would the planned MODCOD decode under the actual atmosphere?"""
-        truth = self.truth_weather.sample(
-            station.latitude_deg, station.longitude_deg, now
-        )
-        budget = self.scheduler._link_budget_for(sat, assignment.station_index)
-        result = budget.evaluate(
-            range_km=assignment.range_km,
-            elevation_deg=assignment.elevation_deg,
-            station_latitude_deg=station.latitude_deg,
-            rain_rate_mm_h=truth.rain_rate_mm_h,
-            cloud_water_kg_m2=truth.cloud_water_kg_m2,
-            station_altitude_km=station.altitude_km,
-        )
-        return result.esn0_db >= assignment.required_esn0_db
+    def _reaches_receiver(self, assignment, now: datetime) -> bool:
+        """Whether :meth:`_execute_assignment` gets as far as asking if
+        the stream decodes: the station is neither dark nor hard down
+        and the satellite can power its radio."""
+        station_id = self.network[assignment.station_index].station_id
+        if self.outages is not None and self.outages.is_down(station_id, now):
+            return False
+        if self.faults is not None and \
+                self.faults.station_availability(station_id, now) <= 0.0:
+            return False
+        sat = self.satellites[assignment.satellite_index]
+        return sat.power is None or sat.power.can_transmit()
+
+    def _decodes_under_truth(self, assignments, now: datetime
+                             ) -> dict[tuple[int, int], bool] | None:
+        """Would each planned MODCOD decode under the actual atmosphere?
+
+        Forecast mode only (None otherwise).  Answers are keyed by
+        (satellite, station) index for the links that will reach a
+        receiver, priced together in one :meth:`_truth_esn0` pass --
+        weather sampled in execution order -- before any of them
+        executes.
+        """
+        if not self.config.use_forecast:
+            return None
+        live = [a for a in assignments if self._reaches_receiver(a, now)]
+        if not live:
+            return {}
+        esn0 = self._truth_esn0(
+            [a.satellite_index for a in live],
+            [a.station_index for a in live],
+            [a.elevation_deg for a in live],
+            [a.range_km for a in live], now,
+        ).tolist()
+        return {
+            (a.satellite_index, a.station_index): e >= a.required_esn0_db
+            for a, e in zip(live, esn0)
+        }
 
     # -- planned execution (Sec. 3's operational model) ---------------------
 
@@ -994,7 +1086,7 @@ class Simulation:
             )
             self._next_plan_issue = now + _td(seconds=cfg.plan_refresh_s)
         station_targets = self._latest_plan.station_targets(now)
-        executed: dict[int, int] = {}
+        links = []
         for sat_index, sat in enumerate(self.satellites):
             plan = self._satellite_plans.get(sat_index)
             if plan is None:
@@ -1002,14 +1094,13 @@ class Simulation:
             entry = plan.entry_at(sat_index, now)
             if entry is None:
                 continue
-            station = self.network[entry.station_index]
             pointing_at = station_targets.get(entry.station_index)
             aligned = pointing_at == sat_index
             if not aligned:
                 # The station moved on (newer plan); the satellite's
                 # transmission falls on a dish pointed elsewhere.
                 self.plan_mismatch_steps += 1
-            assignment = Assignment(
+            links.append((sat, aligned, Assignment(
                 satellite_index=sat_index,
                 station_index=entry.station_index,
                 weight=0.0,
@@ -1017,16 +1108,22 @@ class Simulation:
                 elevation_deg=entry.elevation_deg,
                 range_km=entry.range_km,
                 required_esn0_db=entry.required_esn0_db,
-            )
+            )))
+        truth_decodes = self._decodes_under_truth(
+            [assignment for _sat, aligned, assignment in links if aligned],
+            now,
+        )
+        executed: dict[int, int] = {}
+        for sat, aligned, assignment in links:
             if aligned:
-                self._execute_assignment(assignment, now)
+                self._execute_assignment(assignment, now, truth_decodes)
             else:
                 sent, _ = sat.storage.transmit(
-                    entry.expected_bitrate_bps * cfg.step_s, now,
+                    assignment.bitrate_bps * cfg.step_s, now,
                     decoded=False,
                 )
                 self.metrics.record_lost_transmission(sent)
-            executed[sat_index] = entry.station_index
+            executed[assignment.satellite_index] = assignment.station_index
         self._bootstrap_planless(now, executed)
         return executed
 

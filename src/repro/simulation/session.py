@@ -34,6 +34,7 @@ masked at query time, not baked into the index.
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 
@@ -240,12 +241,25 @@ class SimulationSession:
                 )
             if event.chunks < 1:
                 raise ValueError("SubmitRequest.chunks must be >= 1")
+            for name in ("priority", "sla_deadline_s"):
+                value = getattr(event, name)
+                if value is not None and not math.isfinite(value):
+                    raise ValueError(
+                        f"SubmitRequest.{name} must be finite, got {value}"
+                    )
         elif isinstance(event, QuotaUpdate):
+            if not math.isfinite(event.quota_gb_per_day):
+                raise ValueError("quota_gb_per_day must be finite")
             if event.quota_gb_per_day < 0.0:
                 raise ValueError("quota_gb_per_day must be >= 0")
         elif isinstance(event, OutageNotice):
             if event.station_id not in self._station_ids:
                 raise ValueError(f"unknown station {event.station_id!r}")
+            if event.start.tzinfo is not None or event.end.tzinfo is not None:
+                raise ValueError(
+                    "outage times must be naive UTC datetimes (the "
+                    "simulation clock carries no time zone)"
+                )
             if event.end <= event.start:
                 raise ValueError("outage must end after it starts")
             sim = self.simulation

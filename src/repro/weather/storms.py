@@ -54,6 +54,15 @@ _MAX_LIFETIME_S = 60.0 * 3600.0
 #: extratropical cyclones track): between the 65th parallels.
 _LAT_LIMIT_DEG = 65.0
 
+#: Kilometres per degree of latitude, rounded *down* from
+#: ``6371 * pi / 180 = 111.1949`` so the latitude-band reach test in
+#: :meth:`StormField.storm_at` stays conservative.
+_KM_PER_DEG_LAT = 111.19
+
+#: Extra reach (km) on top of a storm's 2.5-radius support in the
+#: latitude-band test: headroom for haversine rounding.
+_REACH_SLACK_KM = 1.0
+
 
 @dataclass(frozen=True)
 class StormCell:
@@ -143,6 +152,9 @@ class StormField:
         self.speed_scale = speed_scale
         self.intensity_scale = intensity_scale
         self._epoch_cells: dict[int, list[StormCell]] = {}
+        #: ``(time_s, live storms)`` of the last instant sampled (see
+        #: :meth:`_live_storms`), replaced as one object.
+        self._live: tuple[float | None, list[tuple]] = (None, [])
 
     # -- generation ---------------------------------------------------------
 
@@ -191,26 +203,62 @@ class StormField:
 
     # -- evaluation ---------------------------------------------------------
 
+    def _live_storms(self, time_s: float) -> list[tuple]:
+        """``(cell, envelope, centre lat, centre lon, reach_km)`` of every
+        storm alive at ``time_s``, in epoch-then-cell order.
+
+        A station loop samples many points at one instant, so each live
+        storm's envelope and advected centre are evaluated once per
+        instant instead of once per point.  ``reach_km`` is the latitude
+        band test's threshold (see :meth:`storm_at`).
+        """
+        cached_time, cached = self._live
+        if cached_time == time_s:
+            return cached
+        epoch = int(time_s // (_STORM_EPOCH_HOURS * 3600.0))
+        live = []
+        for ep in range(epoch - 2, epoch + 1):
+            for cell in self._cells_for_epoch(ep):
+                env = cell.envelope_at(time_s)
+                if env <= 0.0:
+                    continue
+                clat, clon = cell.center_at(time_s)
+                live.append((cell, env, clat, clon,
+                             2.5 * cell.radius_km + _REACH_SLACK_KM))
+        self._live = (time_s, live)
+        return live
+
     def storm_at(self, lat_deg: float, lon_deg: float,
                  when: datetime) -> tuple[float, float]:
         """(rain mm/h, cloud kg/m^2) the storm process adds at a point.
 
         A storm born late in epoch ``e`` can still rage in ``e+2``
-        (lifetimes are clamped to 60 h against 24 h epochs), so the scan
-        covers the birth epochs that could reach ``when``.
+        (lifetimes are clamped to 60 h against 24 h epochs), so the live
+        list covers the birth epochs that could reach ``when``.  Each
+        contributing term is :meth:`StormCell.footprint_at`'s arithmetic,
+        accumulated in the same order, so the sum is bit-identical to the
+        per-cell scan.  A storm whose centre is further in latitude than
+        its 2.5-radius support is skipped before the haversine: the
+        great-circle distance is at least ``R * |dlat|`` and
+        ``R * pi / 180 = 111.1949 km`` per degree, so the rounded-down
+        :data:`_KM_PER_DEG_LAT` plus :data:`_REACH_SLACK_KM` only ever
+        rejects storms whose footprint is exactly zero.
         """
         time_s = (when - _ORIGIN).total_seconds()
-        epoch = int(time_s // (_STORM_EPOCH_HOURS * 3600.0))
         rain = 0.0
         cloud = 0.0
-        for ep in range(epoch - 2, epoch + 1):
-            for cell in self._cells_for_epoch(ep):
-                factor = cell.footprint_at(lat_deg, lon_deg, time_s)
-                if factor <= 0.0:
-                    continue
-                rain += cell.peak_rain_mm_h * factor
-                # The storm shield: thick cloud over the whole core.
-                cloud += 0.12 * cell.peak_rain_mm_h * factor
+        for cell, env, clat, clon, reach_km in self._live_storms(time_s):
+            if abs(lat_deg - clat) * _KM_PER_DEG_LAT > reach_km:
+                continue
+            dist = haversine_km(lat_deg, lon_deg, clat, clon)
+            if dist > 2.5 * cell.radius_km:
+                continue
+            factor = env * math.exp(-0.5 * (dist / cell.radius_km) ** 4)
+            if factor <= 0.0:
+                continue
+            rain += cell.peak_rain_mm_h * factor
+            # The storm shield: thick cloud over the whole core.
+            cloud += 0.12 * cell.peak_rain_mm_h * factor
         return rain, cloud
 
     def sample(self, lat_deg: float, lon_deg: float,

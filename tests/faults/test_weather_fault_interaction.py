@@ -146,16 +146,11 @@ class TestDiversitySinglePenalty:
                 a = step.assignments[0]
                 break
         assert a is not None, "need at least one contact to test"
-        sat = fleet[a.satellite_index]
-        p_faulted = sim._copy_decode_probability(
-            sat, a.station_index, a.elevation_deg, a.range_km,
-            a.required_esn0_db, when,
-        )
+        copy = (a.satellite_index, a.station_index, a.elevation_deg,
+                a.range_km, a.required_esn0_db)
+        [p_faulted] = sim._copy_decode_probabilities([copy], when)
         faults, sim.faults = sim.faults, None
-        p_healthy = sim._copy_decode_probability(
-            sat, a.station_index, a.elevation_deg, a.range_km,
-            a.required_esn0_db, when,
-        )
+        [p_healthy] = sim._copy_decode_probabilities([copy], when)
         sim.faults = faults
         assert 0.0 < p_faulted < p_healthy
         assert p_faulted == p_healthy * AVAILABILITY
@@ -177,7 +172,6 @@ class TestDiversitySinglePenalty:
             faults_announced=False,
         )
         when = EPOCH + timedelta(minutes=10)
-        sat = fleet[0]
-        assert sim._copy_decode_probability(
-            sat, 0, 45.0, 1000.0, 5.0, when
-        ) == 0.0
+        assert sim._copy_decode_probabilities(
+            [(0, 0, 45.0, 1000.0, 5.0)], when
+        ) == [0.0]

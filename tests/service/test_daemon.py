@@ -232,3 +232,268 @@ class TestServiceObject:
         assert not thread.is_alive()
         assert result["report"].to_json() == \
             service.session.finalize().to_json()
+
+
+def _strict_json(raw: bytes):
+    """Parse JSON, refusing the NaN/Infinity extensions."""
+    def refuse(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    return json.loads(raw, parse_constant=refuse)
+
+
+def _serve(service):
+    """Run ``service`` on a thread; returns (thread, result dict)."""
+    result = {}
+    thread = threading.Thread(
+        target=lambda: result.update(report=service.serve_forever()),
+        daemon=True,
+    )
+    thread.start()
+    return thread, result
+
+
+def _raw_call(service, method, path, body=None):
+    """One request with a raw (possibly non-JSON-object) body."""
+    host, port = service.address
+    conn = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        conn.request(method, path, body=body,
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        return response.status, _strict_json(response.read())
+    finally:
+        conn.close()
+
+
+def _wait_for_step_past(service, step, timeout_s=20.0):
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        status, health = _raw_call(service, "GET", "/healthz")
+        assert status == 200
+        if health["step"] > step:
+            return health
+        time.sleep(0.02)
+    raise AssertionError(f"ticker did not advance past step {step}")
+
+
+@pytest.fixture()
+def slow_daemon():
+    """A paced daemon with a long horizon, so the ticker is still running
+    while a test probes it."""
+    service = make_service(pace_s=0.02, duration_s=6 * 3600.0)
+    thread, _result = _serve(service)
+    try:
+        yield service
+    finally:
+        if not service.session.finished:
+            status, body = _raw_call(service, "POST", "/shutdown")
+            assert status == 200
+            assert body["report"]["delivered_bits"] >= 0.0
+        thread.join(timeout=30)
+        assert not thread.is_alive(), "daemon failed to shut down"
+
+
+def _request(**fields):
+    base = {"request_id": "r", "tenant_id": "premium", "satellite_id": "s"}
+    base.update(fields)
+    return json.dumps(base)
+
+
+BAD_INPUTS = {
+    "quota-array-body": ("/quota", "[1, 2]"),
+    "outage-array-body": ("/outages", "[1]"),
+    "requests-scalar-body": ("/requests", "5"),
+    "quota-nan": ("/quota",
+                  '{"tenant_id": "standard", "quota_gb_per_day": NaN}'),
+    "quota-inf": ("/quota",
+                  '{"tenant_id": "standard", "quota_gb_per_day": Infinity}'),
+    "quota-nan-string": ("/quota",
+                         '{"tenant_id": "standard", '
+                         '"quota_gb_per_day": "nan"}'),
+    "quota-not-a-number": ("/quota",
+                           '{"tenant_id": "standard", '
+                           '"quota_gb_per_day": [1]}'),
+    "priority-nan": ("/requests", _request().replace(
+        '"r"', '"r", "priority": NaN', 1)),
+    "sla-inf": ("/requests", _request().replace(
+        '"r"', '"r", "sla_deadline_s": Infinity', 1)),
+    "chunks-inf": ("/requests", _request().replace(
+        '"r"', '"r", "chunks": Infinity', 1)),
+    "chunks-fractional": ("/requests", _request(chunks=1.5)),
+    "priority-list": ("/requests", _request(priority=[1])),
+    "outage-bad-timestamp": ("/outages",
+                             '{"station_id": "x", "start": "soon", '
+                             '"end": "later"}'),
+}
+
+
+class TestBoundaryValidation:
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_bad_input_is_a_json_4xx_and_ticker_survives(self, slow_daemon,
+                                                         case):
+        service = slow_daemon
+        path, body = BAD_INPUTS[case]
+        if "satellite_id" in body:
+            sat = service.session.simulation.satellites[0].satellite_id
+            body = body.replace('"s"', json.dumps(sat))
+        status, reply = _raw_call(service, "POST", path, body)
+        assert 400 <= status < 500
+        assert isinstance(reply["error"], str) and reply["error"]
+        _status, health = _raw_call(service, "GET", "/healthz")
+        after = _wait_for_step_past(service, health["step"])
+        assert after["status"] == "ok"
+
+    def test_tz_aware_outage_is_normalized_to_utc(self, slow_daemon):
+        service = slow_daemon
+        sim = service.session.simulation
+        station = sim.network[0].station_id
+        status, reply = _raw_call(service, "POST", "/outages", json.dumps({
+            "station_id": station,
+            # 02:10+02:00 is 00:10 UTC, inside the run's first hour.
+            "start": "2020-06-01T02:10:00+02:00",
+            "end": "2020-06-01T00:20:00Z",
+        }))
+        assert status == 200
+        assert reply["acks"][0]["status"] == "queued"
+        health = _wait_for_step_past(service, 25)
+        assert health["status"] == "ok"
+        [outage] = sim.outages.outages
+        assert outage.start.tzinfo is None and outage.end.tzinfo is None
+        assert (outage.start.hour, outage.start.minute) == (0, 10)
+        assert (outage.end.hour, outage.end.minute) == (0, 20)
+
+    def test_shutdown_report_is_strict_json(self, slow_daemon):
+        service = slow_daemon
+        _raw_call(service, "POST", "/quota",
+                  '{"tenant_id": "standard", "quota_gb_per_day": NaN}')
+        status, body = _raw_call(service, "POST", "/shutdown")
+        assert status == 200
+        assert body["report"]["delivered_bits"] >= 0.0
+
+    def test_session_rejects_non_finite_and_aware_events(self):
+        from datetime import datetime, timezone
+
+        from repro.simulation.session import (
+            OutageNotice, QuotaUpdate, SubmitRequest,
+        )
+
+        service = make_service()
+        session = service.session
+        sat = session.simulation.satellites[0].satellite_id
+        station = session.simulation.network[0].station_id
+        aware = datetime(2020, 6, 1, 0, 10, tzinfo=timezone.utc)
+        for event in (
+            QuotaUpdate("standard", float("nan")),
+            QuotaUpdate("standard", float("inf")),
+            SubmitRequest("a", "premium", sat, priority=float("nan")),
+            SubmitRequest("b", "premium", sat, sla_deadline_s=float("inf")),
+            OutageNotice(station, aware, aware.replace(minute=20)),
+        ):
+            with pytest.raises(ValueError):
+                session.ingest([event])
+        service._server.server_close()
+
+
+class TestTickerHealth:
+    def test_ticker_exception_reports_degraded(self):
+        service = make_service(pace_s=0.0)
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("tick exploded")
+
+        service.session.advance = explode
+        thread, result = _serve(service)
+        try:
+            deadline = time.monotonic() + 10.0
+            while True:
+                status, health = _raw_call(service, "GET", "/healthz")
+                assert status == 200
+                if health["status"] != "ok" or time.monotonic() > deadline:
+                    break
+                time.sleep(0.02)
+            assert health["status"] == "degraded"
+            assert "RuntimeError: tick exploded" in health["error"]
+            # Reads keep working on a degraded daemon.
+            status, _plan = _raw_call(service, "GET", "/plan")
+            assert status == 200
+        finally:
+            status, body = _raw_call(service, "POST", "/shutdown")
+            thread.join(timeout=30)
+        assert status == 200
+        assert not thread.is_alive()
+
+    def test_healthy_daemon_reports_ok_without_error(self, daemon):
+        _service, call = daemon
+        _status, health = call("GET", "/healthz")
+        assert health["status"] == "ok"
+        assert "error" not in health
+
+
+class _RecordingWriter:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return len(data)
+
+    def flush(self):
+        pass
+
+
+class TestReplyWrites:
+    def test_one_write_per_reply(self):
+        from repro.service.daemon import _Handler
+
+        handler = _Handler.__new__(_Handler)
+        handler.wfile = _RecordingWriter()
+        handler._reply(200, {"status": "ok", "step": 3})
+        handler._reply(404, {"error": "no such path '/x'"})
+        assert len(handler.wfile.writes) == 2
+        for raw, status in zip(handler.wfile.writes, (200, 404)):
+            head, body = raw.split(b"\r\n\r\n", 1)
+            lines = head.decode("latin-1").split("\r\n")
+            assert lines[0].startswith(f"HTTP/1.1 {status} ")
+            headers = dict(line.split(": ", 1) for line in lines[1:])
+            assert headers["Content-Type"] == "application/json"
+            assert int(headers["Content-Length"]) == len(body)
+            _strict_json(body)
+
+    def test_reply_refuses_non_finite_payloads(self):
+        from repro.service.daemon import _Handler
+
+        handler = _Handler.__new__(_Handler)
+        handler.wfile = _RecordingWriter()
+        with pytest.raises(ValueError):
+            handler._reply(200, {"value": float("nan")})
+        assert handler.wfile.writes == []
+
+    def test_nagle_disabled(self):
+        from repro.service.daemon import _Handler
+
+        assert _Handler.disable_nagle_algorithm is True
+
+    def test_back_to_back_keepalive_requests_are_fast(self):
+        """20 back-to-back GETs on one keep-alive connection: with one
+        write per reply and Nagle off, none waits for a delayed ACK
+        (~40 ms), so the median stays far below it."""
+        service = make_service(pace_s=1.0)
+        thread, _result = _serve(service)
+        host, port = service.address
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            latencies = []
+            for _ in range(20):
+                start = time.perf_counter()
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                response.read()
+                latencies.append(time.perf_counter() - start)
+                assert response.status == 200
+        finally:
+            conn.close()
+            _raw_call(service, "POST", "/shutdown")
+            thread.join(timeout=30)
+        latencies.sort()
+        assert latencies[len(latencies) // 2] < 0.020

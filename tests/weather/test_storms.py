@@ -9,6 +9,7 @@ import pytest
 from repro.weather.cells import RainCellField, WeatherSample, _ORIGIN
 from repro.weather.provider import ConstantWeatherProvider, QuantizedWeatherCache
 from repro.weather.storms import StormCell, StormField, StormWeatherProvider
+from tests import oracles
 
 WHEN = datetime(2020, 6, 3, 12, 0)
 
@@ -116,6 +117,77 @@ class TestStormFieldDeterminism:
         for day in range(25):
             field.storm_at(0.0, 0.0, _ORIGIN + timedelta(days=day))
         assert field.storm_at(30.0, 10.0, WHEN) == want
+
+
+class TestLiveStormList:
+    """``storm_at`` samples each live storm once per instant and skips
+    storms out of latitude reach; the sum must stay bit-identical to the
+    per-cell footprint scan."""
+
+    #: km per degree of latitude on the haversine sphere (R = 6371 km).
+    KM_PER_DEG = 6371.0 * 3.141592653589793 / 180.0
+
+    def _points(self, field: StormField, when):
+        """A coarse lat/lon grid plus probes around every live storm:
+        just inside/outside its 2.5-radius support along the meridian
+        and the parallel, the poles, and both sides of the antimeridian."""
+        points = [
+            (lat, lon)
+            for lat in (-90.0, -89.95, -60.0, -20.0, 0.0, 20.0, 60.0,
+                        89.95, 90.0)
+            for lon in (-180.0, -179.99, -60.0, 0.0, 60.0, 179.99, 180.0)
+        ]
+        time_s = (when - _ORIGIN).total_seconds()
+        for cell, _env, clat, clon, _reach in field._live_storms(time_s):
+            edge_deg = 2.5 * cell.radius_km / self.KM_PER_DEG
+            for slack_km in (-2.0, -0.5, -1e-6, 0.0, 1e-6, 0.5, 1.0, 1.5,
+                             3.0):
+                dlat = edge_deg + slack_km / self.KM_PER_DEG
+                for sign in (-1.0, 1.0):
+                    points.append((max(-90.0, min(90.0, clat + sign * dlat)),
+                                   clon))
+                points.append((clat, ((clon + dlat + 180.0) % 360.0) - 180.0))
+            points.append((clat, clon))
+            points.append((clat, -clon))
+        return points
+
+    def _assert_matches_reference(self, field, whens):
+        compared = 0
+        for when in whens:
+            for lat, lon in self._points(field, when):
+                assert field.storm_at(lat, lon, when) == \
+                    oracles.storm_at(field, lat, lon, when), (lat, lon, when)
+                compared += 1
+        return compared
+
+    def test_matches_per_cell_sum_on_grid(self):
+        field = StormField(seed=11, rate=4.0)
+        whens = [WHEN + timedelta(hours=h) for h in range(0, 72, 5)]
+        assert self._assert_matches_reference(field, whens) > 1000
+
+    def test_polar_clamp_and_antimeridian(self):
+        """Fast tracks drive storm centres into the +-89.9 clamp and
+        around the antimeridian; the reach test must stay exact there."""
+        field = StormField(seed=3, rate=6.0, speed_scale=40.0)
+        whens = [WHEN + timedelta(hours=h) for h in range(0, 60, 3)]
+        clamped = any(
+            abs(clat) == 89.9
+            for when in whens
+            for _c, _e, clat, _lon, _r in field._live_storms(
+                (when - _ORIGIN).total_seconds()
+            )
+        )
+        assert clamped, "no storm centre reached the polar clamp"
+        assert self._assert_matches_reference(field, whens) > 1000
+
+    def test_storms_contribute_somewhere(self):
+        """The probes land inside storms, not only in clear air."""
+        field = StormField(seed=11, rate=4.0)
+        rained = [
+            field.storm_at(lat, lon, WHEN)[0] > 0.0
+            for lat, lon in self._points(field, WHEN)
+        ]
+        assert any(rained) and not all(rained)
 
 
 class TestStormFieldKnobs:
