@@ -28,6 +28,7 @@ from repro.scheduling.matching import (
 )
 from repro.scheduling.scheduler import DownlinkScheduler
 from repro.scheduling.value_functions import LatencyValue
+from tests.oracles import oracle_graph
 
 EPOCH = datetime(2020, 6, 1)
 
@@ -73,13 +74,13 @@ def test_bench_contact_graph(benchmark, world):
 
 
 def test_bench_contact_graph_scalar(benchmark, world):
-    """The per-pair reference path, for before/after comparison."""
+    """The per-pair reference builder (``tests/oracles.py``), for
+    before/after comparison."""
     fleet, network, _scheduler = world
     scheduler = DownlinkScheduler(
         fleet, network, LatencyValue(), weather=build_paper_weather(),
-        batched=False,
     )
-    benchmark(scheduler.contact_graph, EPOCH)
+    benchmark(oracle_graph, scheduler, EPOCH)
 
 
 def test_bench_contact_graph_batched_with_ephemeris(benchmark, world):
@@ -88,7 +89,7 @@ def test_bench_contact_graph_batched_with_ephemeris(benchmark, world):
     table = shared_ephemeris_table(fleet, EPOCH, 120, 60.0)
     scheduler = DownlinkScheduler(
         fleet, network, LatencyValue(), weather=build_paper_weather(),
-        ephemeris=table, batched=True,
+        ephemeris=table,
     )
     benchmark(scheduler.contact_graph, EPOCH)
 
@@ -96,44 +97,48 @@ def test_bench_contact_graph_batched_with_ephemeris(benchmark, world):
 def test_contact_graph_speedup_paper_scale():
     """Acceptance gate: >= 3x on the paper's 259 x 173 scenario.
 
-    Times ``num_steps`` minutes of graph construction through both paths
-    (each including its own propagation strategy: per-satellite SGP4 for
-    the scalar path, the shared ephemeris table for the batched one) and
-    asserts the ratio.  Not a pytest-benchmark fixture on purpose -- the
-    two sides must run the same instants back to back.
+    Times ``num_steps`` minutes of graph construction through the
+    production build and the per-pair reference builder in
+    ``tests/oracles.py`` (each with its own propagation strategy:
+    per-satellite SGP4 for the scalar oracle, the shared ephemeris table
+    for the production build) and asserts the ratio.  Not a
+    pytest-benchmark fixture on purpose -- the two sides must run the
+    same instants back to back.
     """
     num_steps = 50
 
-    def build(batched):
+    def build(with_table):
         fleet = build_paper_fleet(259, seed=7)
         for sat in fleet:
             sat.generate_data(EPOCH - timedelta(hours=1), 3600.0)
         network = satnogs_like_network(173, seed=11)
         table = None
-        if batched:
+        if with_table:
             table = shared_ephemeris_table(fleet, EPOCH, num_steps, 60.0)
         return DownlinkScheduler(
             fleet, network, LatencyValue(), weather=build_paper_weather(),
-            ephemeris=table, batched=batched,
+            ephemeris=table,
         )
 
-    def run(scheduler):
+    def run(graph_at):
         graphs = []
         start = time.perf_counter()
         for k in range(num_steps):
-            graphs.append(
-                scheduler.contact_graph(EPOCH + timedelta(minutes=k))
-            )
+            graphs.append(graph_at(EPOCH + timedelta(minutes=k)))
         return time.perf_counter() - start, graphs
 
     clear_ephemeris_cache()
-    scalar = build(batched=False)
-    batched = build(batched=True)
+    scalar = build(with_table=False)
+    batched = build(with_table=True)
+
+    def scalar_graph(when):
+        return oracle_graph(scalar, when)
+
     # Warm the weather / pair-group caches so both sides time steady state.
-    scalar.contact_graph(EPOCH)
+    scalar_graph(EPOCH)
     batched.contact_graph(EPOCH)
-    elapsed_batched, graphs_batched = run(batched)
-    elapsed_scalar, graphs_scalar = run(scalar)
+    elapsed_batched, graphs_batched = run(batched.contact_graph)
+    elapsed_scalar, graphs_scalar = run(scalar_graph)
 
     for graph_s, graph_b in zip(graphs_scalar, graphs_batched):
         assert len(graph_s.edges) == len(graph_b.edges)
@@ -179,7 +184,7 @@ def test_deadline_pricing_overhead_paper_scale():
     def build(value_function):
         return DownlinkScheduler(
             fleet, network, value_function, weather=build_paper_weather(),
-            ephemeris=table, batched=True,
+            ephemeris=table,
         )
 
     def run(scheduler):
@@ -224,10 +229,10 @@ def dense_graph(world):
                 e for e in extra.edges
                 if (e.satellite_index, e.station_index) not in seen
             )
-        from repro.scheduling.graph import ContactGraph
+        from repro.scheduling.graph import ContactGraph, EdgeColumns
 
-        graph = ContactGraph(EPOCH, edges, graph.num_satellites,
-                             graph.num_stations)
+        graph = ContactGraph(EPOCH, EdgeColumns.from_edges(edges),
+                             graph.num_satellites, graph.num_stations)
     return graph
 
 

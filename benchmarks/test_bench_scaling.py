@@ -5,7 +5,8 @@ Four contracts at Starlink-class population scale, beyond the paper's
 
 1. Spatial culling + sparse graphs give >= 5x per-step contact-graph
    build + pricing at 2.5k satellites against a 1000-station network,
-   with bit-identical graphs to the dense path.
+   with bit-identical graphs to the dense reference builder in
+   ``tests/oracles.py``.
 2. pytest-benchmark timings of the scaling hot paths (candidate
    generation, culled graph build, Walker synthesis) feed the committed
    baseline that ``compare_bench.py`` gates in CI.
@@ -41,6 +42,7 @@ from repro.runners.sweep import SweepCell, SweepRunner
 from repro.satellites.satellite import Satellite
 from repro.scheduling.scheduler import DownlinkScheduler
 from repro.scheduling.value_functions import LatencyValue
+from tests.oracles import dense_contact_graph, oracle_graph
 
 EPOCH = datetime(2020, 6, 1)
 
@@ -70,12 +72,11 @@ def scaling_world():
     network = satnogs_like_network(GATE_STATIONS, seed=13)
     table = EphemerisTable.build(fleet, EPOCH, GATE_INSTANTS + 1, 60.0)
 
-    def make_scheduler(culling):
+    def make_scheduler():
         # Default weather (clear sky) isolates the geometry + pricing
         # cost the culling targets from the weather oracle's.
         return DownlinkScheduler(
-            fleet, network, LatencyValue(),
-            ephemeris=table, batched=True, spatial_culling=culling,
+            fleet, network, LatencyValue(), ephemeris=table,
         )
 
     return fleet, network, table, make_scheduler
@@ -92,37 +93,41 @@ def _columns_identical(graph_a, graph_b) -> bool:
 def test_contact_graph_speedup_mega_scale(scaling_world):
     """Acceptance gate: >= 5x culled vs dense at 2500 x 1000 scale.
 
-    Both sides run the batched pricing kernels over the same shared
+    Both sides run the production pricing stage over the same shared
     ephemeris table; the only difference is the dense M x N visibility
-    matrix vs the coarse-grid candidate prefilter.  Timed best-of-3 over
-    the same instants back to back (not a pytest-benchmark fixture: the
+    matrix of the reference builder in ``tests/oracles.py`` vs the
+    coarse-grid candidate prefilter.  Timed best-of-3 over the same
+    instants back to back (not a pytest-benchmark fixture: the
     bit-identity assertion needs both sides' graphs for every instant).
     """
     _fleet, _network, _table, make_scheduler = scaling_world
-    dense = make_scheduler(culling=False)
-    culled = make_scheduler(culling=True)
+    dense = make_scheduler()
+    culled = make_scheduler()
     instants = [EPOCH + timedelta(minutes=k) for k in range(GATE_INSTANTS)]
+
+    def dense_graph(when):
+        return oracle_graph(dense, when, dense_contact_graph)
 
     # Warm both sides over every timed instant: first-touch costs
     # (pair-group resolution, queue-profile fills) drop out, and the
     # warm-up already produces the graphs for the equivalence check.
-    graphs_dense = [dense.contact_graph(when) for when in instants]
+    graphs_dense = [dense_graph(when) for when in instants]
     graphs_culled = [culled.contact_graph(when) for when in instants]
     for graph_d, graph_c in zip(graphs_dense, graphs_culled):
         assert graph_d.num_edges > 0
         assert _columns_identical(graph_d, graph_c)
 
-    def best_of(scheduler, reps=3):
+    def best_of(graph_at, reps=3):
         best = math.inf
         for _ in range(reps):
             start = time.perf_counter()
             for when in instants:
-                scheduler.contact_graph(when)
+                graph_at(when)
             best = min(best, time.perf_counter() - start)
         return best
 
-    elapsed_culled = best_of(culled)
-    elapsed_dense = best_of(dense)
+    elapsed_culled = best_of(culled.contact_graph)
+    elapsed_dense = best_of(dense_graph)
     speedup = elapsed_dense / elapsed_culled
     per_step_ms = 1e3 * elapsed_culled / GATE_INSTANTS
     print(
@@ -136,7 +141,7 @@ def test_contact_graph_speedup_mega_scale(scaling_world):
 def test_bench_culling_candidates(benchmark, scaling_world):
     """Per-step candidate generation alone (grid matmul + CSR expand)."""
     _fleet, _network, table, make_scheduler = scaling_world
-    scheduler = make_scheduler(culling=True)
+    scheduler = make_scheduler()
     sat_ecef = table.positions_ecef(EPOCH)
     benchmark(scheduler._culling_grid.candidate_pairs, sat_ecef)
 
@@ -144,7 +149,7 @@ def test_bench_culling_candidates(benchmark, scaling_world):
 def test_bench_contact_graph_walker2500(benchmark, scaling_world):
     """Full culled build + pricing per step at 2500 x 1000."""
     _fleet, _network, _table, make_scheduler = scaling_world
-    scheduler = make_scheduler(culling=True)
+    scheduler = make_scheduler()
     scheduler.contact_graph(EPOCH)
     benchmark(scheduler.contact_graph, EPOCH)
 

@@ -137,7 +137,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             station_fraction=args.fraction,
             num_stations=args.stations,
             constellation=args.constellation,
-            spatial_culling=not args.no_culling,
             ephemeris_dtype=args.ephemeris_dtype,
             ephemeris_window_steps=args.ephemeris_window,
             contact_windows=not args.no_window_index,
@@ -402,8 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constellation", choices=("paper", "walker"),
                    default="paper",
                    help="fleet synthesis: paper EO mix or Walker-delta shell")
-    p.add_argument("--no-culling", action="store_true",
-                   help="disable the spatial-culling prefilter (dense path)")
     p.add_argument("--no-window-index", action="store_true",
                    help="disable the contact-window index (per-step "
                         "candidate generation; bit-identical reports)")

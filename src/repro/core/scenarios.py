@@ -21,13 +21,14 @@ import hashlib
 import math
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime
+from functools import partial
 
 from repro.baseline.system import CentralizedBaseline
 from repro.groundstations.network import GroundStationNetwork, satnogs_like_network
 from repro.obs import ObsConfig
 from repro.orbits.constellation import synthetic_leo_constellation, walker_delta
 from repro.satellites.satellite import Satellite
-from repro.scheduling.scheduler import MatcherName
+from repro.scheduling.scheduler import DownlinkScheduler, MatcherName
 from repro.scheduling.value_functions import (
     LatencyValue,
     ThroughputValue,
@@ -232,15 +233,13 @@ class ScenarioSpec:
     walker_phasing: int = 1
     walker_inclination_deg: float = 53.0
     walker_altitude_km: float = 550.0
-    #: Scaling knobs, forwarded to :class:`SimulationConfig`: coarse-grid
-    #: candidate prefiltering (bit-identical either way), ephemeris
-    #: storage dtype, and windowed ephemeris streaming (0 = monolithic).
-    spatial_culling: bool = True
+    #: Scaling knobs, forwarded to :class:`SimulationConfig`: ephemeris
+    #: storage dtype and windowed ephemeris streaming (0 = monolithic).
     ephemeris_dtype: str = "float64"
     ephemeris_window_steps: int = 0
     #: Drive the per-step loop from the precomputed contact-window index
-    #: (bit-identical reports either way; ``False`` pins the per-step
-    #: culled/dense reference paths).  Only the base downlink scheduler
+    #: (bit-identical reports either way; ``False`` generates candidates
+    #: per step with the culling grid).  Only the base downlink scheduler
     #: consumes the index, so horizon/beamforming specs skip the build.
     contact_windows: bool = True
     #: Multi-tenant demand: a tuple of :class:`repro.demand.Tenant` (or
@@ -508,11 +507,10 @@ class ScenarioSpec:
             execution_mode=self.execution_mode,
             diversity_receivers=self.diversity_receivers,
             diversity_seed=self.diversity_seed,
-            spatial_culling=self.spatial_culling,
             ephemeris_dtype=self.ephemeris_dtype,
             ephemeris_window_steps=self.ephemeris_window_steps,
-            # The horizon/beamforming replacements (_attach_scheduler)
-            # never consume the index; skip the build for them.
+            # The horizon/beamforming families never consume the index;
+            # skip the build for them.
             contact_windows=self.contact_windows and not (
                 (self.scheduler == "horizon" and self.horizon_steps > 1)
                 or (self.scheduler == "beamforming" and self.beams > 1)
@@ -562,36 +560,30 @@ class ScenarioSpec:
             faults_announced=self.faults_announced,
             demand=demand,
             observability=observability,
+            scheduler_factory=self._scheduler_factory(),
         )
-        self._attach_scheduler(sim)
         return Scenario(spec=self, fleet=fleet, network=network, simulation=sim)
 
-    def _attach_scheduler(self, sim: Simulation) -> None:
-        """Swap in the horizon/beamforming scheduler families when asked.
+    def _scheduler_factory(self):
+        """The scheduler family the spec asks for, bound to its parameters.
 
-        Mirrors how the ablations historically wrapped the base scheduler:
-        the replacement is built from the downlink scheduler's own wiring,
-        so a ``downlink`` spec is untouched (bit-identical to the paper
-        path) and H=1 / beams=1 degenerate to it as well.
+        The engine builds it with the same wiring it gives the base
+        :class:`DownlinkScheduler` (faults, outages, ephemeris, margins,
+        plan gating, recorder); H=1 / beams=1 degenerate to the base
+        scheduler, so those specs stay bit-identical to the paper path.
         """
-        base = sim.scheduler
         if self.scheduler == "horizon" and self.horizon_steps > 1:
             from repro.scheduling.horizon import HorizonScheduler
 
-            sim.scheduler = HorizonScheduler(
-                base.satellites, base.network, base.value_function,
-                matcher=base.matcher_name, weather=base.weather,
-                step_s=base.step_s, horizon_steps=self.horizon_steps,
+            return partial(
+                HorizonScheduler, horizon_steps=self.horizon_steps,
                 replan_steps=max(1, self.horizon_steps // 2),
             )
-        elif self.scheduler == "beamforming" and self.beams > 1:
+        if self.scheduler == "beamforming" and self.beams > 1:
             from repro.scheduling.beamforming import BeamformingScheduler
 
-            sim.scheduler = BeamformingScheduler(
-                base.satellites, base.network, base.value_function,
-                matcher=base.matcher_name, weather=base.weather,
-                step_s=base.step_s, beams=self.beams,
-            )
+            return partial(BeamformingScheduler, beams=self.beams)
+        return DownlinkScheduler
 
     def run(self, label: str | None = None) -> ScenarioResult:
         """Assemble and execute in one call."""

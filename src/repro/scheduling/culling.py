@@ -22,7 +22,8 @@ permissive elevation mask.  The spherical-Earth bound
 circumradius plus a fixed margin covering Earth oblateness and the
 geodetic-vs-geocentric horizon deviation, so the candidate set is always
 a superset of the truly visible pairs -- the property the equivalence
-tests pin (culling on vs off produces bit-identical contact graphs).
+tests pin (the culled graph build matches the dense reference builder in
+``tests/oracles.py`` edge for edge).
 """
 
 from __future__ import annotations

@@ -5,21 +5,30 @@ satellites and ground stations: an edge exists when the satellite is above
 the station's elevation mask and the station's constraint bitmap allows it;
 the edge weight is the value function applied to the link-model bitrate.
 
-Everything numeric is vectorized: station ECEF positions and ENU bases are
-precomputed once, satellite positions come from the shared
-:class:`~repro.orbits.ephemeris.EphemerisTable` when one covers the
-instant (one batched SGP4 pass per fleet per horizon, reused across
-experiment variants), and the full M x N elevation/range matrix is a
-handful of numpy operations.  Edge pricing runs the batched link-budget
-kernel (:meth:`LinkBudget.evaluate_batch`) over all visible pairs at once
--- FSPL, ITU rain/cloud/gas, and MODCOD selection as array expressions --
-instead of a per-pair scalar call.  The original per-pair loop is kept as
-the reference path (``batched=False``) for the equivalence tests.
+:func:`build_contact_graph` is one pipeline of three array stages:
+
+1. *candidates* -- the visible (satellite, station) pairs with exact
+   elevation and range: read from the precomputed
+   :class:`~repro.scheduling.windows.ContactWindowIndex` on grid
+   instants, or produced by the :class:`~repro.scheduling.culling.StationGrid`
+   prefilter plus the exact elevation test off-grid;
+2. *feasibility* -- one mask for down stations, constraint bitmaps and
+   the hybrid plan-distribution rule (:func:`_feasible`);
+3. *pricing* -- per-station weather, the batched link-budget kernel
+   (:meth:`LinkBudget.evaluate_batch`, one call per hardware class), the
+   value function, and the fault layer's station weight
+   (:func:`_price_pairs`).
+
+The graph is held as :class:`EdgeColumns` arrays.  The per-pair scalar
+builder and the dense M x N builder the pipeline replaced live on as
+reference oracles in ``tests/oracles.py``; the equivalence tests hold
+this pipeline to them edge for edge.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from datetime import datetime
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -30,7 +39,8 @@ from repro.linkbudget.budget import KernelStatics, LinkBudget
 from repro.orbits.frames import geodetic_to_ecef
 from repro.orbits.timebase import datetime_to_jd, gmst_rad
 from repro.satellites.satellite import Satellite
-from repro.scheduling.value_functions import ValueFunction
+from repro.scheduling.culling import StationGrid
+from repro.scheduling.value_functions import FleetQueueProfile, ValueFunction
 from repro.weather.cells import WeatherSample
 
 if TYPE_CHECKING:
@@ -64,9 +74,9 @@ class EdgeColumns(NamedTuple):
     """Column-array form of a graph's edges, in edge order.
 
     The sparse contact-graph representation: seven parallel arrays
-    instead of a list of :class:`ContactEdge` objects.  The batched build
-    paths produce this directly (never constructing per-edge objects) and
-    the matchers consume it directly, so at mega-constellation scale no
+    instead of a list of :class:`ContactEdge` objects.  The graph build
+    produces this directly (never constructing per-edge objects) and the
+    matchers consume it directly, so at mega-constellation scale no
     per-edge Python object exists unless something asks for ``.edges``.
     """
 
@@ -97,31 +107,23 @@ class EdgeColumns(NamedTuple):
 
 
 class ContactGraph:
-    """The bipartite graph for one instant.
+    """The bipartite graph for one instant, held as :class:`EdgeColumns`.
 
-    Holds either an edge-object list (the scalar reference path) or
-    :class:`EdgeColumns` arrays (the batched paths); each representation
-    converts to the other lazily and the conversion round-trips bit-exact,
-    so consumers see identical values whichever path built the graph.
+    ``edges`` materializes :class:`ContactEdge` objects from the columns
+    on first access (bit-identical fields); array consumers read
+    :meth:`columns` and never pay for per-edge objects.
     """
 
-    __slots__ = ("when", "num_satellites", "num_stations",
-                 "_edges", "_columns", "_by_satellite", "_by_station")
+    __slots__ = ("when", "num_satellites", "num_stations", "_columns",
+                 "_edges")
 
-    def __init__(self, when: datetime, edges: list[ContactEdge] | None = None,
-                 num_satellites: int = 0, num_stations: int = 0,
-                 columns: EdgeColumns | None = None):
-        if (edges is None) == (columns is None):
-            raise ValueError("provide exactly one of edges= or columns=")
+    def __init__(self, when: datetime, columns: EdgeColumns,
+                 num_satellites: int = 0, num_stations: int = 0):
         self.when = when
         self.num_satellites = num_satellites
         self.num_stations = num_stations
-        self._edges = edges
         self._columns = columns
-        #: Per-endpoint adjacency, built lazily on first ``edges_for_*``
-        #: call (O(E) once, then O(degree) per call).
-        self._by_satellite: list[list[ContactEdge]] | None = None
-        self._by_station: list[list[ContactEdge]] | None = None
+        self._edges: list[ContactEdge] | None = None
 
     @property
     def edges(self) -> list[ContactEdge]:
@@ -133,57 +135,11 @@ class ContactGraph:
     @property
     def num_edges(self) -> int:
         """Edge count without materializing edge objects."""
-        if self._edges is not None:
-            return len(self._edges)
         return int(self._columns.satellite_index.size)
 
     def columns(self) -> EdgeColumns:
-        """Column-array form of the edges (built from objects on demand)."""
-        if self._columns is None:
-            self._columns = EdgeColumns.from_edges(self._edges)
+        """Column-array form of the edges."""
         return self._columns
-
-    def _build_adjacency(self) -> None:
-        by_sat: list[list[ContactEdge]] = [[] for _ in range(self.num_satellites)]
-        by_station: list[list[ContactEdge]] = [[] for _ in range(self.num_stations)]
-        for e in self.edges:
-            by_sat[e.satellite_index].append(e)
-            by_station[e.station_index].append(e)
-        self._by_satellite = by_sat
-        self._by_station = by_station
-
-    def edges_for_satellite(self, sat_index: int) -> list[ContactEdge]:
-        if self._by_satellite is None:
-            self._build_adjacency()
-        return self._by_satellite[sat_index]
-
-    def edges_for_station(self, gs_index: int) -> list[ContactEdge]:
-        if self._by_station is None:
-            self._build_adjacency()
-        return self._by_station[gs_index]
-
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sparse form: ``(sat_idx, gs_idx, weights)`` candidate-pair arrays.
-
-        The scale-friendly counterpart of :meth:`weight_matrix` -- O(E)
-        instead of O(M x N) -- in the graph's edge order (row-major by
-        (satellite, station), matching the dense matrix flattening).
-        """
-        cols = self.columns()
-        return cols.satellite_index, cols.station_index, cols.weight
-
-    def weight_matrix(self) -> np.ndarray:
-        """Dense M x N weight matrix (0 where no edge).
-
-        Kept for small-population analysis; at mega-constellation scale
-        use :meth:`edge_arrays`, which does not materialize M x N.
-        """
-        mat = np.zeros((self.num_satellites, self.num_stations))
-        if self.num_edges == 0:
-            return mat
-        sat_idx, gs_idx, weights = self.edge_arrays()
-        mat[sat_idx, gs_idx] = weights
-        return mat
 
 
 class GeometryEngine:
@@ -281,10 +237,9 @@ def build_contact_graph(
     station_available: Callable[[int, datetime], bool] | None = None,
     station_weight: Callable[[int, datetime], float] | None = None,
     ephemeris: "EphemerisTable | None" = None,
-    batched: bool = True,
     pair_groups: PairGroupCache | None = None,
-    culling=None,
-    queue_profile=None,
+    culling: StationGrid | None = None,
+    queue_profile: FleetQueueProfile | None = None,
     recorder=None,
     window_index=None,
     window_state: dict | None = None,
@@ -292,146 +247,228 @@ def build_contact_graph(
 ) -> ContactGraph:
     """Construct the weighted bipartite graph at ``when``.
 
-    ``link_budget_for(sat, station_index)`` returns the budget calculator
-    binding that pair (callers usually cache these).  When
-    ``require_current_plan`` is set, satellites without a sufficiently
-    fresh uplinked plan contribute no edges to receive-only stations --
-    they do not know where to point -- but still get edges to
-    transmit-capable stations, which can retask them in real time.
-    ``station_available(station_index, when)`` lets callers exclude
-    stations the scheduler knows to be down (announced maintenance).
-    ``station_weight(station_index, when)`` is the graded variant used by
-    the fault layer: every edge weight to the station is multiplied by
-    the returned factor (a partial outage down-weights the station, an
-    availability prior keeps a gamble edge to a dark one), and a factor
-    <= 0 prunes the station entirely.  The factor is applied identically
-    -- same float operation, same edge order -- in the scalar and batched
-    paths, preserving the equivalence contract.
+    One pipeline in three stages:
 
-    ``ephemeris`` supplies precomputed fleet positions for on-grid
-    instants (off-grid instants fall back to per-satellite propagation).
-    ``batched=False`` selects the scalar per-pair reference path; the
-    default batched path prices all visible pairs through
-    :meth:`LinkBudget.evaluate_batch` and produces the same edges in the
-    same order (see the equivalence tests).
+    1. *Candidates* -- the visible pairs, row-major by (satellite,
+       station) with exact elevation/range.  On-grid instants read them
+       from ``window_index`` (a
+       :class:`~repro.scheduling.windows.ContactWindowIndex`) as
+       zero-copy slices; off-grid instants run the ``culling`` grid
+       (a :class:`~repro.scheduling.culling.StationGrid`) over the fleet
+       positions -- the ``ephemeris`` row when it covers the instant,
+       per-satellite propagation otherwise -- and the exact elevation
+       test on its candidates.
+    2. *Feasibility* (:func:`_feasible`) -- drop pairs to stations that
+       are down, that a station's constraint bitmap excludes, or, with
+       ``require_current_plan``, from satellites without a plan younger
+       than ``plan_max_age_s`` to receive-only stations (they do not
+       know where to point; transmit-capable stations can retask them).
+    3. *Pricing* (:func:`_price_pairs`) -- weather, the batched link
+       budget, the value function, and the station weight factor.
 
-    ``culling`` (a :class:`repro.scheduling.culling.StationGrid`) selects
-    the sparse candidate-pair path: the coarse-grid prefilter emits a
-    conservative superset of the visible pairs and geometry + pricing run
-    on candidates only, never materializing the M x N matrices.  The
-    per-pair arithmetic is identical to the dense path, so edges (and
-    therefore schedules) are bit-identical with culling on or off -- the
-    contract ``tests/scheduling/test_culling_equivalence.py`` pins.
-    Culling applies to the batched path only; the scalar reference path
-    always prices the dense matrix.
+    ``link_budget_for(sat, station_index)`` returns the budget binding a
+    pair.  ``station_available(station_index, when)`` excludes stations
+    the scheduler knows to be down (announced maintenance).
+    ``station_weight(station_index, when)`` is the fault layer's graded
+    variant: every edge weight to the station is multiplied by the
+    factor, and a factor <= 0 prunes the station.
 
-    ``recorder`` (a :class:`repro.obs.Recorder`) receives visible-pair,
-    candidate-pair, and ephemeris-row counters; it never influences the
-    constructed graph.
-
-    ``window_index`` (a :class:`repro.scheduling.windows.ContactWindowIndex`)
-    short-circuits candidate generation entirely for on-grid instants:
-    the visible pairs and their exact elevation/range come from the
-    precomputed pass structure, so the step pays only for active
-    contacts.  Off-grid instants fall through to the culled/dense paths.
-    ``window_state`` is a mutable per-scheduler dict caching per-pair
-    gathers between rise/set boundary ticks, and ``weather_memo`` (a
-    ``_StationWeatherMemo``) reuses per-station samples within one
-    provider quantization bucket.  All three are value-neutral: the
-    same edges, in the same order, as the culled path -- the contract
-    ``tests/scheduling/test_windows_equivalence.py`` pins.
+    ``pair_groups``, ``queue_profile``, ``window_state`` and
+    ``weather_memo`` are caches a scheduler keeps between calls (the
+    function builds throwaway ones when they are omitted, like
+    ``geometry`` and ``culling``).  ``recorder`` (a
+    :class:`repro.obs.Recorder`) receives pair counters and the
+    weather-sampling time; it never influences the graph.  Edges come
+    out in row-major order whichever source produced the candidates --
+    matchers tie-break on edge order -- and are pinned against the
+    per-pair reference builders in ``tests/oracles.py``.
     """
     if geometry is None:
         geometry = GeometryEngine(network)
-    unavailable: set[int] = set()
-    if station_available is not None:
-        unavailable = {
-            j for j in range(len(network)) if not station_available(j, when)
-        }
-    weight_factor: list[float] | None = None
-    if station_weight is not None:
-        weight_factor = [
-            float(station_weight(j, when)) for j in range(len(network))
-        ]
-        unavailable |= {
-            j for j, f in enumerate(weight_factor) if f <= 0.0
-        }
     record = recorder is not None and recorder.enabled
-    if batched and window_index is not None:
-        k = window_index.step_of(when)
-        if k is not None:
-            w_sat, w_gs, w_elev, w_rng = window_index.pairs_at(k)
-            if record:
-                recorder.counter("window_index_hits")
-                recorder.counter("visible_pairs", int(w_sat.size))
-            edges = _window_edges(
-                satellites, network, when, value_function, link_budget_for,
-                forecast, step_s, geometry, w_sat, w_gs, w_elev, w_rng,
-                unavailable, require_current_plan, plan_max_age_s,
-                weight_factor, pair_groups, queue_profile, window_index, k,
-                window_state, weather_memo, recorder,
+    step_k = window_index.step_of(when) if window_index is not None else None
+    if step_k is not None:
+        pair_sat, pair_gs, pair_elev, pair_rng = window_index.pairs_at(step_k)
+        if record:
+            recorder.counter("window_index_hits")
+            recorder.counter("visible_pairs", int(pair_sat.size))
+    else:
+        sat_ecef = None
+        if ephemeris is not None:
+            sat_ecef = ephemeris.positions_ecef(when)
+        if record:
+            recorder.counter(
+                "ephemeris_row_hits" if sat_ecef is not None
+                else "ephemeris_row_misses"
             )
-            return _graph_from(edges, when, len(satellites), len(network))
-    sat_ecef = None
-    if ephemeris is not None:
-        sat_ecef = ephemeris.positions_ecef(when)
-    if record:
-        recorder.counter(
-            "ephemeris_row_hits" if sat_ecef is not None
-            else "ephemeris_row_misses"
-        )
-    if batched and culling is not None:
         if sat_ecef is None:
             sat_ecef = geometry.satellite_ecef(satellites, when)
+        if culling is None:
+            culling = StationGrid(network)
         cand_sat, cand_gs = culling.candidate_pairs(sat_ecef)
-        pair_elevation, pair_range, pair_visible = _pair_visibility(
+        elevation, rng, visible = _pair_visibility(
             geometry, sat_ecef, cand_sat, cand_gs
         )
+        seen = np.flatnonzero(visible)
+        pair_sat, pair_gs = cand_sat[seen], cand_gs[seen]
+        pair_elev, pair_rng = elevation[seen], rng[seen]
         if record:
-            recorder.counter("visible_pairs", int(pair_visible.sum()))
+            recorder.counter("visible_pairs", int(seen.size))
             recorder.counter("candidate_pairs", int(cand_sat.size))
             recorder.counter(
                 "culled_pairs",
                 len(satellites) * len(network) - int(cand_sat.size),
             )
-        edges = _culled_edges(
-            satellites, network, when, value_function, link_budget_for,
-            forecast, step_s, geometry, cand_sat, cand_gs, pair_elevation,
-            pair_range, pair_visible, unavailable, require_current_plan,
-            plan_max_age_s, weight_factor, pair_groups, queue_profile,
-        )
-        return _graph_from(edges, when, len(satellites), len(network))
-    elevation, rng_km, visible = geometry.visibility(
-        satellites, when, sat_ecef=sat_ecef
+
+    if pair_groups is None:
+        pair_groups = PairGroupCache(len(satellites), len(network))
+    if queue_profile is None:
+        queue_profile = FleetQueueProfile(satellites)
+    down, weight_factor = _station_gates(
+        len(network), when, station_available, station_weight
     )
-    if record:
-        recorder.counter("visible_pairs", int(visible.sum()))
-    if batched:
-        edges = _batched_edges(
-            satellites, network, when, value_function, link_budget_for,
-            forecast, step_s, geometry, elevation, rng_km, visible,
-            unavailable, require_current_plan, plan_max_age_s, weight_factor,
-            pair_groups, queue_profile,
+    keep = _feasible(
+        satellites, network, geometry, when, pair_sat, pair_gs, down,
+        require_current_plan, plan_max_age_s,
+    )
+    kernel_static = None
+    if step_k is not None:
+        kernel_static = window_index.kernel_statics_at(step_k)
+    pair_static = None
+    if keep is not None:
+        final = np.flatnonzero(keep)
+        pair_sat, pair_gs = pair_sat[final], pair_gs[final]
+        pair_elev, pair_rng = pair_elev[final], pair_rng[final]
+        if kernel_static is not None:
+            # Gathering precomputed columns with the same mask keeps them
+            # element-aligned (and element-wise ops on a gathered subset
+            # are bit-equal to gathering their full-array results).
+            kernel_static = {
+                gid: st.take(final) for gid, st in kernel_static.items()
+            }
+    elif step_k is not None and window_state is not None:
+        pair_static = _segment_static(
+            window_index, step_k, window_state, geometry, pair_groups,
+            pair_sat, pair_gs, recorder,
         )
-    else:
-        edges = _scalar_edges(
-            satellites, network, when, value_function, link_budget_for,
-            forecast, step_s, geometry, elevation, rng_km, visible,
-            unavailable, require_current_plan, plan_max_age_s, weight_factor,
-        )
-    return _graph_from(edges, when, len(satellites), len(network))
+    columns = _price_pairs(
+        satellites, network, when, value_function, link_budget_for,
+        forecast, step_s, geometry, pair_sat, pair_gs, pair_elev, pair_rng,
+        weight_factor, pair_groups, queue_profile, weather_memo=weather_memo,
+        pair_static=pair_static, kernel_static=kernel_static,
+        recorder=recorder,
+    )
+    return ContactGraph(when, columns, len(satellites), len(network))
 
 
-def _graph_from(edges, when: datetime, num_satellites: int,
-                num_stations: int) -> ContactGraph:
-    """Wrap a build path's output -- edge list or column arrays -- in a graph."""
-    if isinstance(edges, EdgeColumns):
-        return ContactGraph(when=when, columns=edges,
-                            num_satellites=num_satellites,
-                            num_stations=num_stations)
-    return ContactGraph(when=when, edges=edges,
-                        num_satellites=num_satellites,
-                        num_stations=num_stations)
+def _station_gates(
+    num_stations: int,
+    when: datetime,
+    station_available: Callable[[int, datetime], bool] | None,
+    station_weight: Callable[[int, datetime], float] | None,
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Per-station ``(down, weight_factor)`` at ``when``.
+
+    ``down`` flags stations that contribute no edges (unavailable, or a
+    weight factor <= 0); ``None`` when every station is up.
+    ``weight_factor`` is ``None`` without a ``station_weight`` oracle.
+    """
+    down = None
+    if station_available is not None:
+        down = np.fromiter(
+            (not station_available(j, when) for j in range(num_stations)),
+            bool, num_stations,
+        )
+    weight_factor = None
+    if station_weight is not None:
+        weight_factor = np.array(
+            [float(station_weight(j, when)) for j in range(num_stations)]
+        )
+        pruned = weight_factor <= 0.0
+        down = pruned if down is None else down | pruned
+    if down is not None and not down.any():
+        down = None
+    return down, weight_factor
+
+
+def _feasible(
+    satellites: list[Satellite],
+    network: GroundStationNetwork,
+    geometry: GeometryEngine,
+    when: datetime,
+    pair_sat: np.ndarray,
+    pair_gs: np.ndarray,
+    down: np.ndarray | None,
+    require_current_plan: bool,
+    plan_max_age_s: float,
+) -> np.ndarray | None:
+    """Survivor mask over the candidate pairs, or ``None`` when all survive.
+
+    Applies the down-station gate, the stations' constraint bitmaps and
+    the hybrid plan-distribution rule.  Masking only removes entries, so
+    the survivors keep the candidates' row-major order; returning
+    ``None`` in the common unmasked case lets the window index's slices
+    reach pricing without a copy.
+    """
+    num_sats = len(satellites)
+    keep: np.ndarray | None = None
+    if down is not None:
+        keep = ~down[pair_gs]
+    # Constraint bitmaps: only stations that are not allow-all need the
+    # per-satellite expansion (rare: volunteer stations allow everyone).
+    for j, station in enumerate(network):
+        if station.constraints.bitmap == -1:
+            continue
+        base = keep if keep is not None else np.ones(pair_sat.size, bool)
+        at_station = base & (pair_gs == j)
+        if not at_station.any():
+            continue
+        allowed = np.fromiter(
+            (station.allows_satellite(i) for i in range(num_sats)),
+            bool, num_sats,
+        )
+        keep = base & (allowed[pair_sat] | ~at_station)
+    if require_current_plan:
+        has_plan = np.fromiter(
+            (s.has_current_plan(when, plan_max_age_s) for s in satellites),
+            bool, num_sats,
+        )
+        mask = has_plan[pair_sat] | geometry._can_transmit[pair_gs]
+        keep = mask if keep is None else keep & mask
+    if keep is not None and bool(keep.all()):
+        return None
+    return keep
+
+
+def _segment_static(window_index, step_k: int, window_state: dict,
+                    geometry: GeometryEngine, pair_groups: PairGroupCache,
+                    pair_sat: np.ndarray, pair_gs: np.ndarray,
+                    recorder) -> tuple | None:
+    """Per-pair pricing gathers, reused between rise/set boundary ticks.
+
+    Between boundaries the window index's pair topology is constant, so
+    the station latitude/altitude and hardware-class id columns gathered
+    for one tick serve the whole segment; the ``edges_rebuilt`` counter
+    ticks only when a pass boundary invalidates them.
+    """
+    seg = window_index.segment_id(step_k)
+    if window_state.get("segment") == seg:
+        return window_state.get("static")
+    if not pair_sat.size:
+        return None
+    gids = pair_groups.gid[pair_sat, pair_gs]
+    if (gids < 0).any():
+        return None
+    pair_static = (
+        geometry._station_lat_deg[pair_gs],
+        geometry._station_alt_km[pair_gs],
+        gids,
+    )
+    window_state["segment"] = seg
+    window_state["static"] = pair_static
+    if recorder is not None and recorder.enabled:
+        recorder.counter("edges_rebuilt")
+    return pair_static
 
 
 def _pair_visibility(
@@ -471,77 +508,6 @@ def _pair_visibility(
         elevation[maybe] = elev_maybe
         visible[maybe] = elev_maybe > geometry._min_elevation[gs_maybe]
     return elevation, rng, visible
-
-
-def _scalar_edges(
-    satellites: list[Satellite],
-    network: GroundStationNetwork,
-    when: datetime,
-    value_function: ValueFunction,
-    link_budget_for: Callable[[Satellite, int], LinkBudget],
-    forecast: ForecastFn,
-    step_s: float,
-    geometry: GeometryEngine,
-    elevation: np.ndarray,
-    rng_km: np.ndarray,
-    visible: np.ndarray,
-    unavailable: set[int],
-    require_current_plan: bool,
-    plan_max_age_s: float,
-    weight_factor: list[float] | None = None,
-) -> list[ContactEdge]:
-    """The per-pair reference path: one scalar budget call per visible pair."""
-    edges: list[ContactEdge] = []
-    weather_cache: dict[int, WeatherSample] = {}
-    for i, sat in enumerate(satellites):
-        visible_stations = np.nonzero(visible[i])[0]
-        if visible_stations.size == 0:
-            continue
-        has_plan = sat.has_current_plan(when, plan_max_age_s)
-        for j in visible_stations:
-            if int(j) in unavailable:
-                continue
-            station = network[int(j)]
-            if not station.allows_satellite(i):
-                continue
-            if require_current_plan and not has_plan and not station.can_transmit:
-                continue
-            sample = weather_cache.get(int(j))
-            if sample is None:
-                sample = forecast(
-                    station.latitude_deg, station.longitude_deg, when
-                )
-                weather_cache[int(j)] = sample
-            budget = link_budget_for(sat, int(j))
-            result = budget.evaluate(
-                range_km=float(rng_km[i, j]),
-                elevation_deg=float(elevation[i, j]),
-                station_latitude_deg=station.latitude_deg,
-                rain_rate_mm_h=sample.rain_rate_mm_h,
-                cloud_water_kg_m2=sample.cloud_water_kg_m2,
-                station_altitude_km=station.altitude_km,
-            )
-            if not result.closes:
-                continue
-            weight = value_function.edge_value(
-                sat, station.station_id, result.bitrate_bps, when, step_s
-            )
-            if weight_factor is not None:
-                weight *= weight_factor[int(j)]
-            if weight <= 0.0:
-                continue
-            edges.append(
-                ContactEdge(
-                    satellite_index=i,
-                    station_index=int(j),
-                    weight=weight,
-                    bitrate_bps=result.bitrate_bps,
-                    elevation_deg=float(elevation[i, j]),
-                    range_km=float(rng_km[i, j]),
-                    required_esn0_db=result.modcod.esn0_db,
-                )
-            )
-    return edges
 
 
 def _empty_columns() -> EdgeColumns:
@@ -613,227 +579,6 @@ class PairGroupCache:
         return gids
 
 
-def _batched_edges(
-    satellites: list[Satellite],
-    network: GroundStationNetwork,
-    when: datetime,
-    value_function: ValueFunction,
-    link_budget_for: Callable[[Satellite, int], LinkBudget],
-    forecast: ForecastFn,
-    step_s: float,
-    geometry: GeometryEngine,
-    elevation: np.ndarray,
-    rng_km: np.ndarray,
-    visible: np.ndarray,
-    unavailable: set[int],
-    require_current_plan: bool,
-    plan_max_age_s: float,
-    weight_factor: list[float] | None = None,
-    pair_groups: PairGroupCache | None = None,
-    queue_profile=None,
-) -> "EdgeColumns | list[ContactEdge]":
-    """Masked-array edge construction: one budget kernel call per hardware
-    class instead of a scalar call per pair.
-
-    Produces the same edges, in the same (satellite, station) row-major
-    order, as :func:`_scalar_edges` -- matchers tie-break on edge order,
-    so order preservation is part of the equivalence contract.
-    """
-    num_sats, num_stations = visible.shape
-    mask = visible.copy()
-    if unavailable:
-        mask[:, sorted(unavailable)] = False
-    # Constraint bitmaps: only stations that are not allow-all need the
-    # per-satellite expansion (rare: volunteer stations allow everyone).
-    for j, station in enumerate(network):
-        if station.constraints.bitmap != -1 and mask[:, j].any():
-            allowed = np.fromiter(
-                (station.allows_satellite(i) for i in range(num_sats)),
-                bool, num_sats,
-            )
-            mask[:, j] &= allowed
-    if require_current_plan:
-        has_plan = np.fromiter(
-            (s.has_current_plan(when, plan_max_age_s) for s in satellites),
-            bool, num_sats,
-        )
-        mask &= has_plan[:, None] | geometry._can_transmit[None, :]
-    sat_idx, gs_idx = np.nonzero(mask)
-    return _price_pairs(
-        satellites, network, when, value_function, link_budget_for,
-        forecast, step_s, geometry, sat_idx, gs_idx,
-        elevation[sat_idx, gs_idx], rng_km[sat_idx, gs_idx],
-        weight_factor, pair_groups, queue_profile,
-    )
-
-
-def _culled_edges(
-    satellites: list[Satellite],
-    network: GroundStationNetwork,
-    when: datetime,
-    value_function: ValueFunction,
-    link_budget_for: Callable[[Satellite, int], LinkBudget],
-    forecast: ForecastFn,
-    step_s: float,
-    geometry: GeometryEngine,
-    cand_sat: np.ndarray,
-    cand_gs: np.ndarray,
-    pair_elevation: np.ndarray,
-    pair_range: np.ndarray,
-    pair_visible: np.ndarray,
-    unavailable: set[int],
-    require_current_plan: bool,
-    plan_max_age_s: float,
-    weight_factor: list[float] | None = None,
-    pair_groups: PairGroupCache | None = None,
-    queue_profile=None,
-) -> "EdgeColumns | list[ContactEdge]":
-    """Sparse counterpart of :func:`_batched_edges`: the same feasibility
-    masks, applied to candidate-pair arrays instead of the M x N matrix.
-
-    The candidate arrays arrive lexsorted by (satellite, station) -- the
-    order ``np.nonzero`` yields on the dense mask -- and masking only ever
-    removes entries, so the surviving pairs reach :func:`_price_pairs` in
-    exactly the dense path's order.
-    """
-    num_sats = len(satellites)
-    keep = pair_visible.copy()
-    if unavailable:
-        down = np.zeros(len(network), dtype=bool)
-        down[sorted(unavailable)] = True
-        keep &= ~down[cand_gs]
-    for j, station in enumerate(network):
-        if station.constraints.bitmap == -1:
-            continue
-        at_station = keep & (cand_gs == j)
-        if not at_station.any():
-            continue
-        allowed = np.fromiter(
-            (station.allows_satellite(i) for i in range(num_sats)),
-            bool, num_sats,
-        )
-        keep &= allowed[cand_sat] | ~at_station
-    if require_current_plan:
-        has_plan = np.fromiter(
-            (s.has_current_plan(when, plan_max_age_s) for s in satellites),
-            bool, num_sats,
-        )
-        keep &= has_plan[cand_sat] | geometry._can_transmit[cand_gs]
-    final = np.nonzero(keep)[0]
-    return _price_pairs(
-        satellites, network, when, value_function, link_budget_for,
-        forecast, step_s, geometry, cand_sat[final], cand_gs[final],
-        pair_elevation[final], pair_range[final], weight_factor, pair_groups,
-        queue_profile,
-    )
-
-
-def _window_edges(
-    satellites: list[Satellite],
-    network: GroundStationNetwork,
-    when: datetime,
-    value_function: ValueFunction,
-    link_budget_for: Callable[[Satellite, int], LinkBudget],
-    forecast: ForecastFn,
-    step_s: float,
-    geometry: GeometryEngine,
-    pair_sat: np.ndarray,
-    pair_gs: np.ndarray,
-    pair_elevation: np.ndarray,
-    pair_range: np.ndarray,
-    unavailable: set[int],
-    require_current_plan: bool,
-    plan_max_age_s: float,
-    weight_factor: list[float] | None,
-    pair_groups: PairGroupCache | None,
-    queue_profile,
-    window_index,
-    step_k: int,
-    window_state: dict | None,
-    weather_memo,
-    recorder,
-) -> "EdgeColumns | list[ContactEdge]":
-    """Index-driven counterpart of :func:`_culled_edges`.
-
-    The stored pairs *are* the visible set (same arithmetic, same
-    row-major order), so only the feasibility masks remain -- and in the
-    common unmasked case the CSR slices flow to :func:`_price_pairs`
-    without a single copy.  Between rise/set boundary ticks the pair
-    topology is constant, so the per-pair gathers the pricing kernel
-    needs (station latitude/altitude, hardware-class ids) are cached in
-    ``window_state`` and reused; the ``edges_rebuilt`` counter ticks
-    only when a pass boundary invalidates them.
-    """
-    num_sats = len(satellites)
-    n = int(pair_sat.size)
-    keep: np.ndarray | None = None  # None == every stored pair survives
-    if unavailable:
-        down = np.zeros(len(network), dtype=bool)
-        down[sorted(unavailable)] = True
-        keep = ~down[pair_gs]
-    for j, station in enumerate(network):
-        if station.constraints.bitmap == -1:
-            continue
-        base = keep if keep is not None else np.ones(n, dtype=bool)
-        at_station = base & (pair_gs == j)
-        if not at_station.any():
-            continue
-        allowed = np.fromiter(
-            (station.allows_satellite(i) for i in range(num_sats)),
-            bool, num_sats,
-        )
-        keep = base & (allowed[pair_sat] | ~at_station)
-    if require_current_plan:
-        has_plan = np.fromiter(
-            (s.has_current_plan(when, plan_max_age_s) for s in satellites),
-            bool, num_sats,
-        )
-        mask = has_plan[pair_sat] | geometry._can_transmit[pair_gs]
-        keep = mask if keep is None else keep & mask
-    if keep is not None and bool(keep.all()):
-        keep = None
-
-    pair_static = None
-    kernel_static = window_index.kernel_statics_at(step_k)
-    if keep is None:
-        if window_state is not None and pair_groups is not None:
-            seg = window_index.segment_id(step_k)
-            if window_state.get("segment") == seg:
-                pair_static = window_state.get("static")
-            if pair_static is None and n:
-                gids = pair_groups.gid[pair_sat, pair_gs]
-                if not (gids < 0).any():
-                    pair_static = (
-                        geometry._station_lat_deg[pair_gs],
-                        geometry._station_alt_km[pair_gs],
-                        gids,
-                    )
-                    window_state["segment"] = seg
-                    window_state["static"] = pair_static
-                    if recorder is not None and recorder.enabled:
-                        recorder.counter("edges_rebuilt")
-        sel_sat, sel_gs = pair_sat, pair_gs
-        sel_elev, sel_rng = pair_elevation, pair_range
-    else:
-        final = np.nonzero(keep)[0]
-        sel_sat, sel_gs = pair_sat[final], pair_gs[final]
-        sel_elev, sel_rng = pair_elevation[final], pair_range[final]
-        if kernel_static is not None:
-            # Gathering precomputed columns with the same mask keeps them
-            # element-aligned (and element-wise ops on a gathered subset
-            # are bit-equal to gathering their full-array results).
-            kernel_static = {
-                gid: st.take(final) for gid, st in kernel_static.items()
-            }
-    return _price_pairs(
-        satellites, network, when, value_function, link_budget_for,
-        forecast, step_s, geometry, sel_sat, sel_gs, sel_elev, sel_rng,
-        weight_factor, pair_groups, queue_profile,
-        weather_memo=weather_memo, pair_static=pair_static,
-        kernel_static=kernel_static,
-    )
-
-
 def _price_pairs(
     satellites: list[Satellite],
     network: GroundStationNetwork,
@@ -847,19 +592,18 @@ def _price_pairs(
     gs_idx: np.ndarray,
     pair_elevation: np.ndarray,
     pair_range: np.ndarray,
-    weight_factor: list[float] | None = None,
-    pair_groups: PairGroupCache | None = None,
-    queue_profile=None,
+    weight_factor: np.ndarray | None,
+    pair_groups: PairGroupCache,
+    queue_profile: FleetQueueProfile,
     weather_memo=None,
     pair_static: tuple | None = None,
     kernel_static: dict[int, KernelStatics] | None = None,
-) -> "EdgeColumns | list[ContactEdge]":
-    """Price feasible pairs through the batched budget kernel.
+    recorder=None,
+) -> EdgeColumns:
+    """Price the feasible pairs: weather, link budget, value, weight factor.
 
-    The shared tail of the dense, culled, and window-index batched paths:
-    all feed it the same final pair set in the same order, so all produce
-    identical edges.  ``sat_idx``/``gs_idx`` are the feasible pairs (all
-    masks applied) with their already-gathered elevation/range.
+    ``sat_idx``/``gs_idx`` are the feasible pairs (all masks applied)
+    with their already-gathered elevation/range, in row-major order.
 
     ``weather_memo`` substitutes a per-station sample memo for the
     involved-station oracle loop; it issues the identical first call per
@@ -875,40 +619,46 @@ def _price_pairs(
     """
     if sat_idx.size == 0:
         return _empty_columns()
-    num_sats, num_stations = len(satellites), len(network)
+    num_stations = len(network)
 
-    # Weather once per involved station, as in the scalar path's cache.
-    # Involved stations via a bincount-style flag pass: gs_idx is bounded
-    # by the (small) station count, so this avoids sorting the pair list.
-    # An identically-clear provider skips the oracle loop: every sample
-    # would be exactly zero.
+    # Weather once per involved station.  An identically-clear provider
+    # skips the oracle loop: every sample would be exactly zero.
+    record = recorder is not None and recorder.enabled
+    if record:
+        t0 = time.perf_counter()
     if getattr(forecast, "always_clear", False):
         rain = np.zeros(num_stations)
         cloud = np.zeros(num_stations)
+        sampled = 0
     elif weather_memo is not None:
-        rain, cloud = weather_memo.station_weather(
-            network, forecast, gs_idx, when
+        rain, cloud, sampled = weather_memo.station_weather(
+            network, gs_idx, when
         )
     else:
         rain = np.zeros(num_stations)
         cloud = np.zeros(num_stations)
+        # Involved stations via a flag pass: gs_idx is bounded by the
+        # (small) station count, so this avoids sorting the pair list.
         involved = np.zeros(num_stations, dtype=bool)
         involved[gs_idx] = True
-        for j in np.flatnonzero(involved).tolist():
+        stations = np.flatnonzero(involved).tolist()
+        for j in stations:
             station = network[j]
             sample = forecast(
                 station.latitude_deg, station.longitude_deg, when
             )
             rain[j] = sample.rain_rate_mm_h
             cloud[j] = sample.cloud_water_kg_m2
+        sampled = len(stations)
+    if record:
+        recorder.add_time("weather_sampling", time.perf_counter() - t0)
+        recorder.counter("weather_samples", sampled)
 
     # Group pairs by budget hardware class; the paper's scenarios collapse
     # to one or two classes, so the kernel runs once or twice per instant.
     # The class of a pair never changes, so the PairGroupCache resolves
     # previously-seen pairs with one fancy index (and the window index
     # pre-resolves every pair it will ever emit at build time).
-    if pair_groups is None:
-        pair_groups = PairGroupCache(num_sats, num_stations)
     if pair_static is not None:
         station_lat, station_alt, gids = pair_static
     else:
@@ -969,67 +719,42 @@ def _price_pairs(
             bitrate[pos] = result.bitrate_bps
             required_esn0[pos] = result.required_esn0_db
 
+    keep = np.nonzero(closes)[0]
+    if keep.size == 0:
+        return _empty_columns()
+    k_sat = sat_idx[keep]
+    k_gs = gs_idx[keep]
+    k_bitrate = bitrate[keep]
     # Value pricing.  Value functions with a vectorized ``edge_values``
-    # (latency, throughput) price all closing pairs against the fleet
-    # queue profile in a few numpy passes; others fall back to the scalar
-    # per-edge call.  Both produce bit-identical weights (the batch
-    # kernels mirror the scalar arithmetic operation for operation).
+    # (latency, throughput, deadline) price every closing pair against
+    # the fleet queue profile in a few numpy passes; the rest fill the
+    # same weights array one ``edge_value`` call per pair.
     batch_values = getattr(value_function, "edge_values", None)
-    if batch_values is not None and queue_profile is not None:
-        keep = np.nonzero(closes)[0]
-        if keep.size == 0:
-            return _empty_columns()
-        k_sat = sat_idx[keep]
-        k_gs = gs_idx[keep]
+    if batch_values is not None:
         # Pairs arrive row-major, so k_sat is nondecreasing: dedupe by
         # extracting run starts instead of a full unique sort.
         run_start = np.empty(k_sat.size, dtype=bool)
         run_start[0] = True
         np.not_equal(k_sat[1:], k_sat[:-1], out=run_start[1:])
         queue_profile.refresh(k_sat[run_start])
-        weights = batch_values(
-            queue_profile, k_sat, bitrate[keep], when, step_s
+        weights = batch_values(queue_profile, k_sat, k_bitrate, when, step_s)
+    else:
+        edge_value = value_function.edge_value
+        station_ids = [station.station_id for station in network]
+        weights = np.fromiter(
+            (
+                edge_value(satellites[i], station_ids[j], rate, when, step_s)
+                for i, j, rate in zip(
+                    k_sat.tolist(), k_gs.tolist(), k_bitrate.tolist()
+                )
+            ),
+            float, k_sat.size,
         )
-        if weight_factor is not None:
-            weights = weights * np.asarray(weight_factor)[k_gs]
-        pos = np.nonzero(weights > 0.0)[0]
-        return EdgeColumns(
-            k_sat[pos], k_gs[pos], weights[pos], bitrate[keep][pos],
-            pair_elevation[keep][pos], pair_range[keep][pos],
-            required_esn0[keep][pos],
-        )
-
-    edges = []
-    stations = list(network)
-    sat_list = sat_idx.tolist()
-    gs_list = gs_idx.tolist()
-    closes_list = closes.tolist()
-    bitrate_list = bitrate.tolist()
-    elev_list = pair_elevation.tolist()
-    range_list = pair_range.tolist()
-    esn0_list = required_esn0.tolist()
-    for p in range(pair_count):
-        if not closes_list[p]:
-            continue
-        i = sat_list[p]
-        j = gs_list[p]
-        weight = value_function.edge_value(
-            satellites[i], stations[j].station_id, bitrate_list[p],
-            when, step_s,
-        )
-        if weight_factor is not None:
-            weight *= weight_factor[j]
-        if weight <= 0.0:
-            continue
-        edges.append(
-            ContactEdge(
-                satellite_index=i,
-                station_index=j,
-                weight=weight,
-                bitrate_bps=bitrate_list[p],
-                elevation_deg=elev_list[p],
-                range_km=range_list[p],
-                required_esn0_db=esn0_list[p],
-            )
-        )
-    return edges
+    if weight_factor is not None:
+        weights = weights * weight_factor[k_gs]
+    pos = np.nonzero(weights > 0.0)[0]
+    return EdgeColumns(
+        k_sat[pos], k_gs[pos], weights[pos], k_bitrate[pos],
+        pair_elevation[keep][pos], pair_range[keep][pos],
+        required_esn0[keep][pos],
+    )

@@ -175,7 +175,7 @@ class _StationWeatherMemo:
     sample per (station, bucket) no matter how many times it is asked, so
     the per-step oracle loop mostly re-reads values it already has.  This
     memo keeps the last sample per station with a bucket stamp and only
-    calls the oracle for stations whose stamp is stale -- issuing exactly
+    asks the provider for stations whose stamp is stale -- issuing exactly
     the first call per (station, bucket) the unmemoized loop would have
     issued, so the provider's cache contents (which capture the first
     ``when`` seen per bucket) and every value consumed downstream are
@@ -183,26 +183,21 @@ class _StationWeatherMemo:
     that publishes ``quantize_s``; the scheduler enables it accordingly.
     """
 
-    def __init__(self, num_stations: int, quantize_s: float):
-        self.quantize_s = float(quantize_s)
+    def __init__(self, num_stations: int, provider):
+        #: The quantized provider sampled directly.  When it exposes
+        #: ``sample_prequantized``, station coordinates (which never
+        #: change) have their cache-key rounding done once here instead
+        #: of twice per sample.
+        self.provider = provider
+        self.quantize_s = float(provider.quantize_s)
         self._bucket = np.full(num_stations, -1, dtype=np.int64)
         self._rain = np.zeros(num_stations)
         self._cloud = np.zeros(num_stations)
         self._coords: list[tuple[float, float, float, float]] | None = None
-        #: Optional direct oracle (e.g. the provider's bound ``sample``):
-        #: the scheduler installs it when no instrumentation wrapper is
-        #: needed, saving one closure frame and two ``hasattr`` probes
-        #: per miss.  Must make the identical underlying call the
-        #: ``forecast`` argument would.
-        self.oracle = None
-        #: The provider itself, when it exposes ``sample_prequantized``
-        #: and no instrumentation wrapper is in play: station coordinates
-        #: never change, so their cache-key rounding runs once here
-        #: instead of twice per sample.
-        self.provider = None
 
-    def station_weather(self, network, forecast, gs_idx, when):
-        """Full per-station (rain, cloud) arrays, fresh for ``gs_idx``.
+    def station_weather(self, network, gs_idx, when):
+        """``(rain, cloud, sampled)``: per-station arrays fresh for
+        ``gs_idx``, and how many stations had to be sampled.
 
         Entries for stations outside ``gs_idx`` may be stale; callers
         only ever gather the involved stations.
@@ -210,7 +205,7 @@ class _StationWeatherMemo:
         bucket = int(when.timestamp() // self.quantize_s)
         involved = np.zeros(self._bucket.size, dtype=bool)
         involved[gs_idx] = True
-        stale = involved & (self._bucket != bucket)
+        stale = np.flatnonzero(involved & (self._bucket != bucket)).tolist()
         if self._coords is None:
             self._coords = [
                 (round(s.latitude_deg, 3), round(s.longitude_deg, 3),
@@ -220,24 +215,18 @@ class _StationWeatherMemo:
         rain_out = self._rain
         cloud_out = self._cloud
         bucket_out = self._bucket
-        provider = self.provider
-        if provider is not None:
-            sample_pq = provider.sample_prequantized
-            for j in np.flatnonzero(stale).tolist():
-                lat_q, lon_q, lat, lon = self._coords[j]
-                sample = sample_pq(lat_q, lon_q, lat, lon, when)
-                rain_out[j] = sample.rain_rate_mm_h
-                cloud_out[j] = sample.cloud_water_kg_m2
-                bucket_out[j] = bucket
-            return rain_out, cloud_out
-        oracle = self.oracle if self.oracle is not None else forecast
-        for j in np.flatnonzero(stale).tolist():
+        sample_pq = getattr(self.provider, "sample_prequantized", None)
+        sample = self.provider.sample
+        for j in stale:
             lat_q, lon_q, lat, lon = self._coords[j]
-            sample = oracle(lat, lon, when)
-            rain_out[j] = sample.rain_rate_mm_h
-            cloud_out[j] = sample.cloud_water_kg_m2
+            if sample_pq is not None:
+                value = sample_pq(lat_q, lon_q, lat, lon, when)
+            else:
+                value = sample(lat, lon, when)
+            rain_out[j] = value.rain_rate_mm_h
+            cloud_out[j] = value.cloud_water_kg_m2
             bucket_out[j] = bucket
-        return rain_out, cloud_out
+        return rain_out, cloud_out, len(stale)
 
 
 class DownlinkScheduler:
@@ -258,8 +247,6 @@ class DownlinkScheduler:
         station_available=None,
         station_weight=None,
         ephemeris: EphemerisTable | None = None,
-        batched: bool = True,
-        spatial_culling: bool = True,
         recorder=None,
     ):
         if matcher not in _MATCHERS:
@@ -286,20 +273,14 @@ class DownlinkScheduler:
         #: variants via :func:`repro.orbits.ephemeris.shared_ephemeris_table`);
         #: off-grid instants fall back to per-satellite propagation.
         self.ephemeris = ephemeris
-        #: ``False`` selects the scalar per-pair reference path (used by
-        #: the batch-vs-scalar equivalence harness).
-        self.batched = batched
-        #: Coarse-grid candidate prefilter (batched path only): per-step
-        #: cost tracks candidate pairs instead of M x N, with bit-identical
-        #: graphs (the prefilter is a conservative superset).  Lazily
-        #: built so non-batched/scalar schedulers pay nothing.
-        self._culling_grid: StationGrid | None = None
-        if spatial_culling and batched:
-            self._culling_grid = StationGrid(network)
-        #: Fleet-wide send-queue snapshot for vectorized edge pricing
-        #: (batched path only); rows invalidate via the storage version
-        #: counter, so steady-state refreshes touch only mutated queues.
-        self._queue_profile = FleetQueueProfile(satellites) if batched else None
+        #: Coarse-grid candidate prefilter for off-grid instants: per-step
+        #: cost tracks candidate pairs instead of M x N (the prefilter is
+        #: a conservative superset of the visible pairs).
+        self._culling_grid = StationGrid(network)
+        #: Fleet-wide send-queue snapshot for vectorized edge pricing;
+        #: rows invalidate via the storage version counter, so
+        #: steady-state refreshes touch only mutated queues.
+        self._queue_profile = FleetQueueProfile(satellites)
         #: Observability sink for graph-build/matching spans and counters;
         #: the shared no-op recorder unless the engine passed a live one.
         from repro.obs.recorder import NULL_RECORDER
@@ -352,23 +333,6 @@ class DownlinkScheduler:
                 return provider.sample(lat, lon, valid_at)
             return provider.forecast(lat, lon, valid_at, valid_at)
 
-        if self.recorder.enabled:
-            # Account weather-oracle time separately: it runs inside the
-            # graph-build span but is a distinct stage of the taxonomy.
-            import time as _time
-
-            inner_fn = forecast_fn
-
-            def forecast_fn(lat: float, lon: float, valid_at: datetime):
-                t0 = _time.perf_counter()
-                try:
-                    return inner_fn(lat, lon, valid_at)
-                finally:
-                    self.recorder.add_time(
-                        "weather_sampling", _time.perf_counter() - t0
-                    )
-                    self.recorder.counter("weather_samples")
-
         # A provider that is identically clear lets the pricing kernel
         # skip the per-station weather oracle loop outright.
         forecast_fn.always_clear = getattr(self.weather, "always_clear", False)
@@ -382,24 +346,13 @@ class DownlinkScheduler:
             self.window_index is not None
             and forecast_issued_at is None
             and not forecast_fn.always_clear
+            and getattr(self.weather, "quantize_s", None)
         ):
-            quantize_s = getattr(self.weather, "quantize_s", None)
-            if quantize_s:
-                if self._weather_memo is None:
-                    self._weather_memo = _StationWeatherMemo(
-                        len(self.network), quantize_s
-                    )
-                weather_memo = self._weather_memo
-                # With no instrumentation wrapper in play the memo may
-                # call the provider directly -- same call, fewer frames.
-                direct = not self.recorder.enabled
-                weather_memo.oracle = self.weather.sample if direct else None
-                weather_memo.provider = (
-                    self.weather
-                    if direct
-                    and hasattr(self.weather, "sample_prequantized")
-                    else None
+            if self._weather_memo is None:
+                self._weather_memo = _StationWeatherMemo(
+                    len(self.network), self.weather
                 )
+            weather_memo = self._weather_memo
 
         return build_contact_graph(
             satellites=self.satellites,
@@ -415,7 +368,6 @@ class DownlinkScheduler:
             station_available=self.station_available,
             station_weight=self.station_weight,
             ephemeris=self.ephemeris,
-            batched=self.batched,
             pair_groups=self._pair_groups,
             culling=self._culling_grid,
             queue_profile=self._queue_profile,

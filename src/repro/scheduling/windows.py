@@ -9,9 +9,8 @@ sets.  :class:`ContactWindowIndex` computes the pass structure **once**
 per run: a single chronological scan over the shared
 :class:`~repro.orbits.ephemeris.EphemerisTable` evaluates the same
 candidate-generation + exact elevation-mask test the per-step path runs
-(:meth:`StationGrid.candidate_pairs` + :func:`_pair_visibility`, or the
-dense :meth:`GeometryEngine.visibility` when culling is off), and stores
-the visible pairs of every step as CSR arrays:
+(:meth:`StationGrid.candidate_pairs` + :func:`_pair_visibility`), and
+stores the visible pairs of every step as CSR arrays:
 
 * ``step_ptr[k]:step_ptr[k+1]`` slices the flat per-pair arrays
   (``pair_sat``/``pair_gs``/``pair_elevation``/``pair_range``) for step
@@ -29,8 +28,9 @@ the visible pairs of every step as CSR arrays:
 
 Because the stored elevations/ranges are produced by bit-identical
 arithmetic on the same ephemeris rows, driving the scheduling loop from
-the index yields byte-identical reports to the culled and dense paths --
-the contract ``tests/scheduling/test_windows_equivalence.py`` pins.
+the index yields byte-identical reports to per-step candidate generation
+and to the dense reference scan in ``tests/oracles.py`` -- the contract
+``tests/scheduling/test_windows_equivalence.py`` pins.
 
 The scan iterates steps chronologically, which is exactly the access
 pattern :class:`~repro.orbits.ephemeris.StreamingEphemerisTable` is
@@ -54,6 +54,7 @@ from repro.groundstations.network import GroundStationNetwork
 from repro.linkbudget.budget import KernelStatics
 from repro.orbits.passes import ContactWindow
 from repro.satellites.satellite import Satellite
+from repro.scheduling.culling import StationGrid
 from repro.scheduling.graph import (
     GeometryEngine,
     _budget_group_id,
@@ -65,12 +66,8 @@ from repro.scheduling.graph import (
 #: builds keep the index itself but fall back to per-step fspl/gas.
 _KERNEL_STATICS_MAX_ROWS = 50_000_000
 
-#: Scan-chunk bounds: stacked (step, satellite) rows per culled chunk,
-#: and stacked (step, satellite) x station cells per dense chunk (the
-#: dense path materializes the full matrix, so it is bounded by the
-#: product rather than the row count).
+#: Scan-chunk bound: stacked (step, satellite) rows per chunk.
 _SCAN_CHUNK_ROWS = 200_000
-_SCAN_CHUNK_CELLS = 4_000_000
 
 __all__ = [
     "ContactWindowIndex",
@@ -144,18 +141,19 @@ class ContactWindowIndex:
         start: datetime,
         num_steps: int,
         step_s: float,
+        culling: StationGrid,
         geometry: GeometryEngine | None = None,
         ephemeris=None,
-        culling=None,
         link_budget_for=None,
         pair_groups=None,
         recorder=None,
     ) -> "ContactWindowIndex":
         """One-shot chronological scan producing the full index.
 
-        Runs the *same* candidate generation and exact elevation test as
-        the per-step graph paths, step by step in time order (streaming
-        ephemeris windows are touched once each).  ``link_budget_for`` +
+        Runs the *same* candidate generation (the ``culling`` grid) and
+        exact elevation test as the per-step graph build, step by step
+        in time order (streaming ephemeris windows are touched once
+        each).  ``link_budget_for`` +
         ``pair_groups`` optionally pre-resolve the hardware-class id of
         every pair that is ever visible, moving the per-pair budget
         lookups out of the hot loop entirely.
@@ -175,14 +173,8 @@ class ContactWindowIndex:
         # test each run once per chunk instead of once per step.  Per-row
         # arithmetic is unchanged -- candidate refinement is exact per
         # row and the visibility test is elementwise -- so the per-step
-        # slices are bit-identical to a step-at-a-time scan.  The dense
-        # path materializes an (S*M, N) matrix, so its chunk shrinks to
-        # keep that allocation bounded; culled scans cap only on rows.
-        if culling is not None:
-            chunk = max(1, min(32, _SCAN_CHUNK_ROWS // max(1, num_sats)))
-        else:
-            cells = max(1, num_sats * num_stations)
-            chunk = max(1, min(32, _SCAN_CHUNK_CELLS // cells))
+        # slices are bit-identical to a step-at-a-time scan.
+        chunk = max(1, min(32, _SCAN_CHUNK_ROWS // max(1, num_sats)))
         for c0 in range(0, num_steps, chunk):
             c1 = min(c0 + chunk, num_steps)
             blocks = []
@@ -197,23 +189,13 @@ class ContactWindowIndex:
                 blocks.append(block)
             stacked = np.concatenate(blocks, axis=0)
             span = c1 - c0
-            if culling is not None:
-                cand_sat, cand_gs = culling.candidate_pairs(stacked)
-                elev, rng, vis = _pair_visibility(
-                    geometry, stacked, cand_sat, cand_gs
-                )
-                sel = np.nonzero(vis)[0]
-                glob = cand_sat[sel]
-                g_all = cand_gs[sel].astype(np.int32)
-            else:
-                elevation, rng_km, visible = geometry.visibility(
-                    satellites, start, sat_ecef=stacked
-                )
-                glob, gi = np.nonzero(visible)
-                g_all = gi.astype(np.int32)
-                elev = elevation[glob, gi]
-                rng = rng_km[glob, gi]
-                sel = slice(None)
+            cand_sat, cand_gs = culling.candidate_pairs(stacked)
+            elev, rng, vis = _pair_visibility(
+                geometry, stacked, cand_sat, cand_gs
+            )
+            sel = np.nonzero(vis)[0]
+            glob = cand_sat[sel]
+            g_all = cand_gs[sel].astype(np.int32)
             e_all = elev[sel]
             r_all = rng[sel]
             # Rows arrive (step, sat, station)-ordered; split per step.
@@ -529,9 +511,9 @@ def shared_window_index(
     start: datetime,
     num_steps: int,
     step_s: float,
+    culling: StationGrid,
     geometry: GeometryEngine | None = None,
     ephemeris=None,
-    culling=None,
     link_budget_for=None,
     pair_groups=None,
     recorder=None,
@@ -551,7 +533,6 @@ def shared_window_index(
             start,
             int(num_steps),
             float(step_s),
-            culling is not None,
             _geometry_fingerprint(geometry),
         )
         entry = _INDEX_CACHE.get(key)
@@ -574,9 +555,9 @@ def shared_window_index(
         start=start,
         num_steps=num_steps,
         step_s=step_s,
+        culling=culling,
         geometry=geometry,
         ephemeris=ephemeris,
-        culling=culling,
         link_budget_for=link_budget_for,
         pair_groups=pair_groups,
         recorder=recorder,

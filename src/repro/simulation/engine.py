@@ -70,6 +70,7 @@ class Simulation:
         fault_availability_prior: float | None = None,
         demand: "DemandLayer | None" = None,
         observability: ObsConfig | None = None,
+        scheduler_factory=DownlinkScheduler,
     ):
         if args:
             raise TypeError(
@@ -173,7 +174,11 @@ class Simulation:
             self.ephemeris = self._build_ephemeris(
                 satellites, config, recorder=self.obs
             )
-        self.scheduler = DownlinkScheduler(
+        #: ``scheduler_factory`` builds the scheduler family (the base
+        #: :class:`DownlinkScheduler`, or a horizon/beamforming subclass
+        #: bound to its own parameters); every family gets this same
+        #: engine wiring.
+        self.scheduler = scheduler_factory(
             satellites=satellites,
             network=network,
             value_function=value_function,
@@ -187,20 +192,14 @@ class Simulation:
             station_available=station_available,
             station_weight=station_weight,
             ephemeris=self.ephemeris,
-            batched=config.batched_kernels,
-            spatial_culling=config.spatial_culling,
             recorder=self.obs,
         )
         # Precompute the pass structure once: candidate generation per
         # step becomes an index lookup and idle ticks (no pair in a pass)
         # skip scheduling entirely -- byte-identical either way.  Needs
-        # the batched path and a precomputed ephemeris; inert otherwise.
+        # a precomputed ephemeris; inert otherwise.
         self.window_index = None
-        if (
-            config.contact_windows
-            and config.batched_kernels
-            and self.ephemeris is not None
-        ):
+        if config.contact_windows and self.ephemeris is not None:
             index_steps = config.num_steps
             if config.execution_mode == "planned":
                 index_steps += int(config.plan_horizon_s // config.step_s) + 1

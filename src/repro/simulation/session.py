@@ -247,6 +247,24 @@ class SimulationSession:
                     raise ValueError(
                         f"SubmitRequest.{name} must be finite, got {value}"
                     )
+            if event.sla_deadline_s is not None:
+                # Like a tenant's SLA, the override is a positive span,
+                # and the deadline it stamps on the run's last capture
+                # must still be a representable instant.
+                if event.sla_deadline_s <= 0.0:
+                    raise ValueError(
+                        "SubmitRequest.sla_deadline_s must be positive"
+                    )
+                config = self.simulation.config
+                try:
+                    config.start + timedelta(
+                        seconds=config.duration_s + event.sla_deadline_s
+                    )
+                except OverflowError:
+                    raise ValueError(
+                        "SubmitRequest.sla_deadline_s is too large: "
+                        f"{event.sla_deadline_s}"
+                    ) from None
         elif isinstance(event, QuotaUpdate):
             if not math.isfinite(event.quota_gb_per_day):
                 raise ValueError("quota_gb_per_day must be finite")

@@ -15,13 +15,14 @@ from repro.satellites.satellite import Satellite
 from repro.scheduling.value_functions import LatencyValue
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import Simulation
+from tests.oracles import use_oracle_builder
 
 EPOCH = datetime(2020, 6, 1)
 DURATION_S = 4 * 3600.0
 
 
 def _simulate(faults=None, announced=True, prior=None, ack_timeout_s=None,
-              batched=True):
+              oracle=False):
     """A fresh small world per call (engine mutates storage in place)."""
     tles = synthetic_leo_constellation(8, EPOCH, seed=21)
     sats = [Satellite(tle=t, chunk_size_gb=0.5) for t in tles]
@@ -30,7 +31,8 @@ def _simulate(faults=None, announced=True, prior=None, ack_timeout_s=None,
         start=EPOCH,
         duration_s=DURATION_S,
         ack_timeout_s=ack_timeout_s if ack_timeout_s is not None else 3 * 3600.0,
-        batched_kernels=batched,
+        contact_windows=not oracle,
+        precompute_ephemeris=not oracle,
     )
     sim = Simulation(satellites=sats, network=network, value_function=LatencyValue(), config=config, faults=faults,
                      faults_announced=announced,
@@ -73,9 +75,9 @@ class TestOptInEquivalence:
             "receipts_delayed", "ack_batches_missed", "redelivered_chunks",
         }
 
-    def test_scalar_and_batched_paths_agree_under_faults(self):
-        """The availability weight is applied identically in the scalar
-        and batched contact-graph kernels."""
+    def test_scalar_and_batched_paths_agree_under_faults(self, monkeypatch):
+        """The availability weight is applied identically by the graph
+        build and by the scalar per-pair oracle."""
         network, _ = _simulate()
         faults = FaultSchedule(outages=[
             StationOutage(network[j].station_id, EPOCH,
@@ -83,10 +85,12 @@ class TestOptInEquivalence:
                           severity=0.5 if j % 2 else 1.0)
             for j in range(6)
         ])
-        _n, sim_batched = _simulate(faults=faults, batched=True)
-        _n, sim_scalar = _simulate(faults=faults, batched=False)
+        _n, sim_batched = _simulate(faults=faults)
+        _n, sim_scalar = _simulate(faults=faults, oracle=True)
         report_b = sim_batched.run()
-        report_s = sim_scalar.run()
+        with monkeypatch.context() as patch:
+            use_oracle_builder(patch)
+            report_s = sim_scalar.run()
         assert _report_fields(report_b) == _report_fields(report_s)
         assert report_b.fault_counters == report_s.fault_counters
 

@@ -1,14 +1,16 @@
-"""Spatial culling vs the dense path: superset candidates, identical graphs.
+"""Spatial culling vs the dense oracle: superset candidates, identical graphs.
 
 The coarse-grid prefilter must be *conservative*: its candidate pairs are
-a superset of the geometrically visible pairs, so the culled sparse path
-prices exactly the pairs the dense path prices -- and because the per-pair
-arithmetic is the same elementwise operations, edges (and therefore
-schedules and reports) are bit-identical with culling on or off.  These
-tests pin that contract at candidate, graph, and full-simulation level,
-including at the paper's population scale and under fault injection.
+a superset of the geometrically visible pairs, so the culled graph build
+prices exactly the pairs the dense-matrix reference builder
+(``tests/oracles.py``) prices -- and because the per-pair arithmetic is
+the same elementwise operations, edges (and therefore schedules and
+reports) are bit-identical.  These tests pin that contract at candidate,
+graph, and full-simulation level, including at the paper's population
+scale and under fault injection.
 """
 
+from dataclasses import replace
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -26,6 +28,13 @@ from repro.scheduling.scheduler import DownlinkScheduler
 from repro.scheduling.value_functions import LatencyValue
 from repro.weather.cells import RainCellField
 from repro.weather.provider import QuantizedWeatherCache
+from tests.oracles import (
+    assert_graphs_identical,
+    dense_contact_graph,
+    dense_pairs,
+    oracle_graph,
+    use_oracle_builder,
+)
 
 EPOCH = datetime(2020, 6, 1)
 
@@ -48,22 +57,14 @@ def _fleet(n=40, seed=21, walker=False):
     return sats
 
 
-def _scheduler(satellites, network, culling, **kwargs):
+def _scheduler(satellites, network, **kwargs):
     return DownlinkScheduler(
         satellites,
         network,
         LatencyValue(),
         weather=QuantizedWeatherCache(RainCellField(seed=3)),
-        spatial_culling=culling,
         **kwargs,
     )
-
-
-def _assert_graphs_identical(graph_a, graph_b):
-    """Bitwise edge-for-edge equality (order included)."""
-    assert len(graph_a.edges) == len(graph_b.edges)
-    for ea, eb in zip(graph_a.edges, graph_b.edges):
-        assert ea == eb
 
 
 class TestCandidateSuperset:
@@ -127,15 +128,15 @@ class TestGraphEquivalence:
     def test_identical_edges_across_a_horizon(self):
         satellites = _fleet(40)
         network = satnogs_like_network(40, seed=13)
-        dense = _scheduler(satellites, network, culling=False)
-        culled = _scheduler(satellites, network, culling=True)
+        dense = _scheduler(satellites, network)
+        culled = _scheduler(satellites, network)
         total = 0
         for k in range(0, 180, 5):
             when = EPOCH + timedelta(minutes=k)
-            graph_d = dense.contact_graph(when)
-            graph_c = culled.contact_graph(when)
-            _assert_graphs_identical(graph_d, graph_c)
-            total += len(graph_d.edges)
+            total += assert_graphs_identical(
+                oracle_graph(dense, when, dense_contact_graph),
+                culled.contact_graph(when),
+            )
         assert total > 0
 
     def test_identical_edges_with_ephemeris_and_constraints(self):
@@ -151,65 +152,63 @@ class TestGraphEquivalence:
             return index % 7 != 0
 
         table = shared_ephemeris_table(satellites, EPOCH, 120, 60.0)
-        dense = _scheduler(
-            satellites, network, culling=False,
+        kwargs = dict(
             ephemeris=table, station_available=available,
             require_current_plan=True, plan_max_age_s=3600.0,
         )
-        culled = _scheduler(
-            satellites, network, culling=True,
-            ephemeris=table, station_available=available,
-            require_current_plan=True, plan_max_age_s=3600.0,
-        )
+        dense = _scheduler(satellites, network, **kwargs)
+        culled = _scheduler(satellites, network, **kwargs)
         for s in (dense, culled):
             s.satellites[0].receive_plan(EPOCH)
             s.satellites[2].receive_plan(EPOCH)
         for k in range(0, 120, 10):
             when = EPOCH + timedelta(minutes=k)
-            _assert_graphs_identical(
-                dense.contact_graph(when), culled.contact_graph(when)
+            assert_graphs_identical(
+                oracle_graph(dense, when, dense_contact_graph),
+                culled.contact_graph(when),
             )
 
     def test_visible_pair_counters_agree(self):
-        """Culled and dense paths must report the same visible_pairs."""
+        """The culled build reports the dense matrix's visible_pairs."""
         satellites = _fleet(30)
         network = satnogs_like_network(30, seed=13)
-        counts = {}
-        for culling in (False, True):
-            rec = Recorder()
-            sched = _scheduler(satellites, network, culling=culling,
-                               recorder=rec)
-            sched.contact_graph(EPOCH)
-            counts[culling] = rec.counters_snapshot()
-        assert counts[False]["visible_pairs"] == counts[True]["visible_pairs"]
-        assert counts[True]["candidate_pairs"] >= counts[True]["visible_pairs"]
-        assert "culled_pairs" in counts[True]
+        rec = Recorder()
+        sched = _scheduler(satellites, network, recorder=rec)
+        sched.contact_graph(EPOCH)
+        counts = rec.counters_snapshot()
+        dense_sat, _gs, _elev, _rng = dense_pairs(
+            sched._geometry, satellites, EPOCH
+        )
+        assert counts["visible_pairs"] == dense_sat.size > 0
+        assert counts["candidate_pairs"] >= counts["visible_pairs"]
+        assert "culled_pairs" in counts
+
+
+def _assert_dense_oracle_reports_match(spec, monkeypatch):
+    """The production run vs one whose every graph build is the dense
+    oracle (per-step, no window index; same ephemeris)."""
+    with monkeypatch.context() as patch:
+        use_oracle_builder(patch, dense_contact_graph)
+        oracle = replace(spec, contact_windows=False).build()
+        off = oracle.run("dgs-L").report.to_dict()
+    on = spec.build().run("dgs-L").report.to_dict()
+    on.pop("stage_timings", None)
+    off.pop("stage_timings", None)
+    assert on == off
 
 
 class TestPaperScaleEquivalence:
-    def test_fig3a_reports_bit_identical(self):
-        """fig3a at full paper scale: identical reports culling on/off."""
-        reports = {}
-        for culling in (False, True):
-            spec = ScenarioSpec.dgs(
-                duration_s=1800.0, spatial_culling=culling
-            )
-            reports[culling] = spec.build().run("dgs-L").report
-        on, off = reports[True].to_dict(), reports[False].to_dict()
-        on.pop("stage_timings", None)
-        off.pop("stage_timings", None)
-        assert on == off
+    def test_fig3a_reports_bit_identical(self, monkeypatch):
+        """fig3a at full paper scale: identical reports to the dense oracle."""
+        _assert_dense_oracle_reports_match(
+            ScenarioSpec.dgs(duration_s=1800.0), monkeypatch
+        )
 
-    def test_fig3a_reports_bit_identical_under_faults(self):
+    def test_fig3a_reports_bit_identical_under_faults(self, monkeypatch):
         """The graded station_weight fault path must also match."""
-        reports = {}
-        for culling in (False, True):
-            spec = ScenarioSpec.dgs(
-                duration_s=1800.0, spatial_culling=culling,
-                fault_intensity=0.25, fault_seed=11,
-            )
-            reports[culling] = spec.build().run("dgs-L").report
-        on, off = reports[True].to_dict(), reports[False].to_dict()
-        on.pop("stage_timings", None)
-        off.pop("stage_timings", None)
-        assert on == off
+        _assert_dense_oracle_reports_match(
+            ScenarioSpec.dgs(
+                duration_s=1800.0, fault_intensity=0.25, fault_seed=11,
+            ),
+            monkeypatch,
+        )

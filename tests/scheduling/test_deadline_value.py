@@ -23,6 +23,7 @@ from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import Simulation
 from repro.weather.cells import RainCellField
 from repro.weather.provider import QuantizedWeatherCache
+from tests.oracles import oracle_graph, use_oracle_builder
 
 EPOCH = datetime(2020, 6, 1)
 
@@ -152,24 +153,23 @@ def _stamped_fleet(n=10, seed=21):
     return sats
 
 
-def _scheduler(batched):
+def _scheduler():
     return DownlinkScheduler(
         _stamped_fleet(),
         satnogs_like_network(24, seed=13),
         DeadlineSlaValue(tenants=MIX),
         weather=QuantizedWeatherCache(RainCellField(seed=3)),
-        batched=batched,
     )
 
 
 class TestBatchedEquivalence:
     def test_identical_weights_across_a_horizon(self):
-        scalar = _scheduler(batched=False)
-        batched = _scheduler(batched=True)
+        scalar = _scheduler()
+        batched = _scheduler()
         total = 0
         for k in range(0, 180, 5):
             when = EPOCH + timedelta(minutes=k)
-            graph_s = scalar.contact_graph(when)
+            graph_s = oracle_graph(scalar, when)
             graph_b = batched.contact_graph(when)
             assert len(graph_s.edges) == len(graph_b.edges)
             for ea, eb in zip(graph_s.edges, graph_b.edges):
@@ -180,7 +180,7 @@ class TestBatchedEquivalence:
             total += len(graph_s.edges)
         assert total > 0
 
-    def test_identical_simulation_reports(self):
+    def test_identical_simulation_reports(self, monkeypatch):
         reports = {}
         for batched in (False, True):
             tles = synthetic_leo_constellation(8, EPOCH, seed=21)
@@ -188,7 +188,7 @@ class TestBatchedEquivalence:
             network = satnogs_like_network(20, seed=13)
             config = SimulationConfig(
                 start=EPOCH, duration_s=3 * 3600.0, step_s=60.0,
-                batched_kernels=batched, precompute_ephemeris=batched,
+                contact_windows=batched, precompute_ephemeris=batched,
             )
             demand = DemandLayer.build(
                 tenants=MIX, requests_per_day=24, seed=13, start=EPOCH
@@ -202,5 +202,8 @@ class TestBatchedEquivalence:
                 truth_weather=QuantizedWeatherCache(RainCellField(seed=3)),
                 demand=demand,
             )
-            reports[batched] = sim.run()
+            with monkeypatch.context() as patch:
+                if not batched:
+                    use_oracle_builder(patch)
+                reports[batched] = sim.run()
         assert reports[False].to_json() == reports[True].to_json()

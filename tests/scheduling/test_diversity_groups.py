@@ -29,7 +29,7 @@ def _edge(sat: int, gs: int, weight: float) -> ContactEdge:
 def _graph(edges) -> ContactGraph:
     sats = max(e.satellite_index for e in edges) + 1
     stations = max(e.station_index for e in edges) + 1
-    return ContactGraph(WHEN, edges=list(edges),
+    return ContactGraph(WHEN, EdgeColumns.from_edges(list(edges)),
                         num_satellites=sats, num_stations=stations)
 
 
@@ -99,7 +99,11 @@ class TestDiversityGroups:
 
 
 def _random_graph(rng: random.Random, columns: bool) -> ContactGraph:
-    """A random sparse graph with heavily tied weights."""
+    """A random sparse graph with heavily tied weights.
+
+    ``columns=False`` materializes the lazy ``edges`` view before the
+    graph is used, so both access orders are covered.
+    """
     sats = rng.randint(1, 12)
     stations = rng.randint(1, 15)
     edges = [
@@ -113,11 +117,11 @@ def _random_graph(rng: random.Random, columns: bool) -> ContactGraph:
         for i in range(sats) for j in range(stations)
         if rng.random() < 0.4
     ]
-    if columns:
-        return ContactGraph(WHEN, columns=EdgeColumns.from_edges(edges),
-                            num_satellites=sats, num_stations=stations)
-    return ContactGraph(WHEN, edges=edges, num_satellites=sats,
-                        num_stations=stations)
+    graph = ContactGraph(WHEN, columns=EdgeColumns.from_edges(edges),
+                         num_satellites=sats, num_stations=stations)
+    if not columns:
+        assert graph.edges == edges
+    return graph
 
 
 class TestAgainstEdgeListOracle:

@@ -140,9 +140,13 @@ class TestBuildContactGraph:
             assert small_network[e.station_index].can_transmit
 
     def test_weight_matrix_shape(self, loaded_fleet, small_network):
+        """The column arrays scatter into an M x N weight matrix."""
         graph = self.build(loaded_fleet, small_network)
-        mat = graph.weight_matrix()
+        cols = graph.columns()
+        mat = np.zeros((graph.num_satellites, graph.num_stations))
+        mat[cols.satellite_index, cols.station_index] = cols.weight
         assert mat.shape == (len(loaded_fleet), len(small_network))
+        assert np.count_nonzero(mat) == graph.num_edges
 
     def test_throughput_value_weights(self, loaded_fleet, small_network):
         graph = self.build(loaded_fleet, small_network, value=ThroughputValue())

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.scheduling.graph import ContactEdge, ContactGraph
+from repro.scheduling.graph import ContactEdge, ContactGraph, EdgeColumns
 from repro.scheduling.matching import (
     gale_shapley,
     greedy_matching,
@@ -29,8 +29,8 @@ def make_graph(edge_spec, num_sats=None, num_stations=None):
         num_sats = 1 + max((s for s, _g, _w in edge_spec), default=0)
     if num_stations is None:
         num_stations = 1 + max((g for _s, g, _w in edge_spec), default=0)
-    return ContactGraph(when=EPOCH, edges=edges, num_satellites=num_sats,
-                        num_stations=num_stations)
+    return ContactGraph(when=EPOCH, columns=EdgeColumns.from_edges(edges),
+                        num_satellites=num_sats, num_stations=num_stations)
 
 
 def assert_valid(graph, assignments, capacities=None):

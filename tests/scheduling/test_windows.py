@@ -24,12 +24,14 @@ from repro.orbits.ephemeris import (
 )
 from repro.orbits.passes import PassPredictor
 from repro.satellites.satellite import Satellite
+from repro.scheduling.culling import StationGrid
 from repro.scheduling.graph import GeometryEngine
 from repro.scheduling.windows import (
     ContactWindowIndex,
     clear_window_index_cache,
     shared_window_index,
 )
+from tests.oracles import dense_pairs
 
 EPOCH = datetime(2020, 6, 1)
 STEP_S = 60.0
@@ -53,13 +55,14 @@ def _fleet(n=25, seed=21):
 def _build(satellites, network, num_steps=NUM_STEPS, **kwargs):
     return ContactWindowIndex.build(
         satellites, network, start=EPOCH, num_steps=num_steps,
-        step_s=STEP_S, **kwargs,
+        step_s=STEP_S, culling=StationGrid(network), **kwargs,
     )
 
 
 class TestCsrAgainstDirectGeometry:
     def test_pairs_match_dense_visibility_bitwise(self):
-        """Every step's stored pairs/elevations/ranges == direct geometry."""
+        """Every step's stored pairs/elevations/ranges == the dense
+        visibility matrix (the dense oracle scan)."""
         satellites = _fleet()
         network = satnogs_like_network(30, seed=13)
         geometry = GeometryEngine(network)
@@ -69,14 +72,15 @@ class TestCsrAgainstDirectGeometry:
         total_pairs = 0
         for k in range(NUM_STEPS):
             when = EPOCH + timedelta(seconds=k * STEP_S)
-            elevation, rng_km, visible = geometry.visibility(satellites, when)
-            vs, vg = np.nonzero(visible)
+            vs, vg, dense_elev, dense_rng = dense_pairs(
+                geometry, satellites, when
+            )
             sat, gs, elev, rng = index.pairs_at(k)
             assert np.array_equal(sat, vs.astype(np.int32))
             assert np.array_equal(gs, vg.astype(np.int32))
             # Bitwise: same elementwise arithmetic on the same positions.
-            assert np.array_equal(elev, elevation[vs, vg])
-            assert np.array_equal(rng, rng_km[vs, vg])
+            assert np.array_equal(elev, dense_elev)
+            assert np.array_equal(rng, dense_rng)
             assert index.active_count(k) == vs.size
             total_pairs += vs.size
         assert total_pairs > 0  # the comparison actually bit
@@ -238,7 +242,8 @@ class TestSharedIndexCache:
         recorder = Recorder()
         kwargs = dict(
             start=EPOCH, num_steps=60, step_s=STEP_S,
-            geometry=geometry, ephemeris=table, recorder=recorder,
+            culling=StationGrid(network), geometry=geometry,
+            ephemeris=table, recorder=recorder,
         )
         first = shared_window_index(satellites, network, **kwargs)
         second = shared_window_index(satellites, network, **kwargs)
@@ -254,11 +259,13 @@ class TestSharedIndexCache:
         table = shared_ephemeris_table(satellites, EPOCH, 60, STEP_S)
         base = shared_window_index(
             satellites, network, start=EPOCH, num_steps=60, step_s=STEP_S,
-            geometry=geometry, ephemeris=table,
+            culling=StationGrid(network), geometry=geometry,
+            ephemeris=table,
         )
         shorter = shared_window_index(
             satellites, network, start=EPOCH, num_steps=30, step_s=STEP_S,
-            geometry=geometry, ephemeris=table,
+            culling=StationGrid(network), geometry=geometry,
+            ephemeris=table,
         )
         assert shorter is not base
         # A different elevation mask changes the geometry fingerprint.
@@ -267,7 +274,8 @@ class TestSharedIndexCache:
             station.min_elevation_deg = station.min_elevation_deg + 10.0
         other = shared_window_index(
             satellites, strict, start=EPOCH, num_steps=60, step_s=STEP_S,
-            geometry=GeometryEngine(strict), ephemeris=table,
+            culling=StationGrid(strict), geometry=GeometryEngine(strict),
+            ephemeris=table,
         )
         assert other is not base
 
@@ -278,12 +286,14 @@ class TestSharedIndexCache:
         table = shared_ephemeris_table(satellites, EPOCH, 60, STEP_S)
         first = shared_window_index(
             satellites, network, start=EPOCH, num_steps=60, step_s=STEP_S,
-            geometry=geometry, ephemeris=table,
+            culling=StationGrid(network), geometry=geometry,
+            ephemeris=table,
         )
         clear_window_index_cache()
         rebuilt = shared_window_index(
             satellites, network, start=EPOCH, num_steps=60, step_s=STEP_S,
-            geometry=geometry, ephemeris=table,
+            culling=StationGrid(network), geometry=geometry,
+            ephemeris=table,
         )
         assert rebuilt is not first
         assert np.array_equal(rebuilt.step_ptr, first.step_ptr)

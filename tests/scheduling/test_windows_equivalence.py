@@ -1,7 +1,8 @@
-"""Window-index path vs the per-step reference paths: identical outputs.
+"""Window-index path vs per-step candidates and the dense oracle.
 
-The contact-window index stores the exact elevations/ranges the per-step
-culled and dense paths compute, so driving the scheduling loop from it
+The contact-window index stores the exact elevations/ranges that per-step
+culled candidate generation and the dense reference builder
+(``tests/oracles.py``) compute, so driving the scheduling loop from it
 must produce bit-identical edges, schedules, and reports.  These tests
 pin that contract at graph level (including constraints, availability
 holes, and plan gating), at full-simulation level (faults, storms,
@@ -29,6 +30,11 @@ from repro.scheduling.windows import (
 )
 from repro.weather.cells import RainCellField
 from repro.weather.provider import QuantizedWeatherCache
+from tests.oracles import (
+    assert_graphs_identical,
+    dense_contact_graph,
+    oracle_graph,
+)
 
 EPOCH = datetime(2020, 6, 1)
 STEP_S = 60.0
@@ -64,22 +70,14 @@ def _scheduler(satellites, network, **kwargs):
     )
 
 
-def _attach_index(scheduler, satellites, network, table, num_steps,
-                  culled=True):
+def _attach_index(scheduler, satellites, network, table, num_steps):
     scheduler.window_index = shared_window_index(
         satellites, network, start=EPOCH, num_steps=num_steps,
-        step_s=STEP_S, geometry=scheduler._geometry, ephemeris=table,
-        culling=scheduler._culling_grid if culled else None,
+        step_s=STEP_S, culling=scheduler._culling_grid,
+        geometry=scheduler._geometry, ephemeris=table,
         link_budget_for=scheduler._link_budget_for,
         pair_groups=scheduler._pair_groups,
     )
-
-
-def _assert_graphs_identical(graph_a, graph_b):
-    """Bitwise edge-for-edge equality (order included)."""
-    assert len(graph_a.edges) == len(graph_b.edges)
-    for ea, eb in zip(graph_a.edges, graph_b.edges):
-        assert ea == eb
 
 
 def _report_dict(spec):
@@ -100,19 +98,18 @@ class TestGraphEquivalence:
         network = satnogs_like_network(40, seed=13)
         num_steps = 180
         table = shared_ephemeris_table(satellites, EPOCH, num_steps, STEP_S)
-        windowed = _scheduler(satellites, network, spatial_culling=True,
-                              ephemeris=table)
+        windowed = _scheduler(satellites, network, ephemeris=table)
         _attach_index(windowed, satellites, network, table, num_steps)
-        culled = _scheduler(satellites, network, spatial_culling=True,
-                            ephemeris=table)
-        dense = _scheduler(satellites, network, spatial_culling=False,
-                           ephemeris=table)
+        culled = _scheduler(satellites, network, ephemeris=table)
+        dense = _scheduler(satellites, network, ephemeris=table)
         total = 0
         for k in range(0, num_steps, 5):
             when = EPOCH + timedelta(minutes=k)
             graph_w = windowed.contact_graph(when)
-            _assert_graphs_identical(graph_w, culled.contact_graph(when))
-            _assert_graphs_identical(graph_w, dense.contact_graph(when))
+            assert_graphs_identical(graph_w, culled.contact_graph(when))
+            assert_graphs_identical(
+                graph_w, oracle_graph(dense, when, dense_contact_graph)
+            )
             total += len(graph_w.edges)
         assert total > 0
 
@@ -126,7 +123,7 @@ class TestGraphEquivalence:
         culled = _scheduler(satellites, network, ephemeris=table)
         for k in (10, 30, 50):
             when = EPOCH + timedelta(minutes=k, seconds=30)
-            _assert_graphs_identical(
+            assert_graphs_identical(
                 windowed.contact_graph(when), culled.contact_graph(when)
             )
 
@@ -157,7 +154,7 @@ class TestGraphEquivalence:
             s.satellites[2].receive_plan(EPOCH)
         for k in range(0, num_steps, 10):
             when = EPOCH + timedelta(minutes=k)
-            _assert_graphs_identical(
+            assert_graphs_identical(
                 windowed.contact_graph(when), reference.contact_graph(when)
             )
 
@@ -219,15 +216,13 @@ class TestMegaScaleWalker:
         network = satnogs_like_network(1000, seed=13)
         num_steps = 10
         table = shared_ephemeris_table(satellites, EPOCH, num_steps, STEP_S)
-        windowed = _scheduler(satellites, network, spatial_culling=True,
-                              ephemeris=table)
+        windowed = _scheduler(satellites, network, ephemeris=table)
         _attach_index(windowed, satellites, network, table, num_steps)
-        culled = _scheduler(satellites, network, spatial_culling=True,
-                            ephemeris=table)
+        culled = _scheduler(satellites, network, ephemeris=table)
         total = 0
         for k in range(0, num_steps, 3):
             when = EPOCH + timedelta(minutes=k)
             graph_w = windowed.contact_graph(when)
-            _assert_graphs_identical(graph_w, culled.contact_graph(when))
+            assert_graphs_identical(graph_w, culled.contact_graph(when))
             total += len(graph_w.edges)
         assert total > 0

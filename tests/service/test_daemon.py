@@ -318,6 +318,8 @@ BAD_INPUTS = {
         '"r"', '"r", "priority": NaN', 1)),
     "sla-inf": ("/requests", _request().replace(
         '"r"', '"r", "sla_deadline_s": Infinity', 1)),
+    "sla-beyond-the-calendar": ("/requests", _request(sla_deadline_s=1e308)),
+    "sla-negative": ("/requests", _request(sla_deadline_s=-60.0)),
     "chunks-inf": ("/requests", _request().replace(
         '"r"', '"r", "chunks": Infinity', 1)),
     "chunks-fractional": ("/requests", _request(chunks=1.5)),
@@ -388,6 +390,8 @@ class TestBoundaryValidation:
             QuotaUpdate("standard", float("inf")),
             SubmitRequest("a", "premium", sat, priority=float("nan")),
             SubmitRequest("b", "premium", sat, sla_deadline_s=float("inf")),
+            SubmitRequest("c", "premium", sat, sla_deadline_s=1e308),
+            SubmitRequest("d", "premium", sat, sla_deadline_s=0.0),
             OutageNotice(station, aware, aware.replace(minute=20)),
         ):
             with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from repro.scheduling.value_functions import LatencyValue
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import Simulation
 from repro.simulation.metrics import SimulationReport
+from tests.oracles import use_oracle_builder
 
 EPOCH = datetime(2020, 6, 1)
 
@@ -125,7 +126,7 @@ class TestInertKnobs:
 
 
 class TestScalarBatchedEquivalence:
-    def test_identical_reports_under_storms_and_diversity(self):
+    def test_identical_reports_under_storms_and_diversity(self, monkeypatch):
         reports = {}
         for batched in (False, True):
             tles = synthetic_leo_constellation(8, EPOCH, seed=21)
@@ -134,7 +135,7 @@ class TestScalarBatchedEquivalence:
             config = SimulationConfig(
                 start=EPOCH, duration_s=2 * 3600.0, step_s=60.0,
                 execution_mode="diversity", diversity_receivers=3,
-                batched_kernels=batched, precompute_ephemeris=batched,
+                contact_windows=batched, precompute_ephemeris=batched,
             )
             sim = Simulation(
                 satellites=sats, network=network,
@@ -143,7 +144,10 @@ class TestScalarBatchedEquivalence:
                     seed=3, storm_seed=17, storm_rate=3.0
                 ),
             )
-            reports[batched] = sim.run()
+            with monkeypatch.context() as patch:
+                if not batched:
+                    use_oracle_builder(patch)
+                reports[batched] = sim.run()
         assert reports[False].to_json() == reports[True].to_json()
         assert reports[True].diversity["passes"] > 0
 

@@ -7,8 +7,10 @@ JSONL, a manifest, and stage timings that account for the run loop.
 """
 
 import json
+from dataclasses import replace
 from datetime import datetime
 
+from repro.core.scenarios import ScenarioSpec
 from repro.groundstations.network import satnogs_like_network
 from repro.obs import ObsConfig, validate_trace_file
 from repro.orbits.constellation import synthetic_leo_constellation
@@ -58,6 +60,52 @@ class TestNoOpEquivalence:
 
         assert sim.obs is NULL_RECORDER
         assert sim.run().stage_timings == {}
+
+
+class TestTracingKeepsTheCodePath:
+    """Turning the recorder on must not change how weather is sampled."""
+
+    def test_recorder_enabled_scheduler_installs_memo_provider(self):
+        sim = build_sim(observability=ObsConfig(), duration_h=0.5)
+        sim.run()
+        memo = sim.scheduler._weather_memo
+        assert memo is not None
+        assert memo.provider is sim.truth_weather
+        assert sim.obs.counters_snapshot()["weather_samples"] > 0
+        assert "weather_sampling" in sim.obs.stage_timings()
+
+    def test_traced_storm_diversity_report_is_byte_identical(
+            self, tmp_path, monkeypatch):
+        from repro.weather.provider import QuantizedWeatherCache as Cache
+
+        calls = {"prequantized": 0}
+        original = Cache.sample_prequantized
+
+        def counted(self, *args):
+            calls["prequantized"] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(Cache, "sample_prequantized", counted)
+        spec = ScenarioSpec.dgs(
+            num_satellites=15, num_stations=25, duration_s=7200.0,
+            weather="storms", storm_rate=2.0, storm_speed=1.5,
+            execution_mode="diversity", diversity_receivers=3,
+        )
+        reports = []
+        sampled = []
+        for observability in (None, ObsConfig(
+                trace_path=str(tmp_path / "trace.jsonl"))):
+            calls["prequantized"] = 0
+            arm = replace(spec, observability=observability)
+            report = arm.build().simulation.run().to_dict()
+            report.pop("stage_timings")
+            reports.append(json.dumps(report, sort_keys=True,
+                                      allow_nan=False))
+            sampled.append(calls["prequantized"])
+        assert reports[0] == reports[1]
+        # Both arms sample through the memo's direct provider path.
+        assert sampled[0] == sampled[1] > 0
+        assert json.loads(reports[0])["diversity"]["passes"] > 0
 
 
 class TestStageTimings:
